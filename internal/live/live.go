@@ -28,6 +28,7 @@ package live
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -289,7 +290,14 @@ type Stats struct {
 	FindingsReverified int
 	TraceStepsBefore   int
 	TraceStepsAfter    int
-	MinimizeReplays    int
+	// MinimizeReplays counts the minimizer's greedy trials, which run on
+	// pooled clones (a trial answered from the per-epoch memo still counts).
+	// ReverifyReplays counts the cold FromSnapshot replays that re-verify
+	// the published traces: one per group whose findings publish its
+	// non-empty minimized trace, plus at most one shared empty-trace replay
+	// per epoch.
+	MinimizeReplays int
+	ReverifyReplays int
 	// FirstDetectionEpoch is the epoch of the first finding (0: none yet).
 	FirstDetectionEpoch int
 }
@@ -730,17 +738,18 @@ func seedFor(fingerprint uint64, scenario string) int64 {
 func (rt *Runtime) explore(ctx context.Context, ep *checkpoint.Epoch) {
 	// All of an epoch's scenario campaigns explore the same immutable store,
 	// so they share one clone pool: the cold clone builds are paid once per
-	// worker per epoch, not once per worker per scenario. Built lazily — a
-	// fully deduped epoch never builds clones at all.
-	var pool *cluster.ClonePool
+	// worker per epoch, not once per worker per scenario. The minimizer's
+	// trials lease the same pool. Built lazily — a fully deduped epoch never
+	// builds clones at all.
+	var er *epochReplays
 	// Retire the epoch's pool into the soak-wide accumulator on every exit
 	// path, so PoolStats never loses an epoch (or double-counts one).
 	defer func() {
-		if pool == nil {
+		if er == nil {
 			return
 		}
 		rt.mu.Lock()
-		rt.poolStats = rt.poolStats.Add(pool.Stats())
+		rt.poolStats = rt.poolStats.Add(er.pool.Stats())
 		rt.activePool = nil
 		rt.mu.Unlock()
 	}()
@@ -760,16 +769,16 @@ func (rt *Runtime) explore(ctx context.Context, ep *checkpoint.Epoch) {
 				ep.Seq, sc.Name(), hit.Inputs, hit.Paths)
 			continue
 		}
-		if pool == nil {
-			pool = cluster.NewClonePool(rt.topo, ep.Store, rt.opts.ClusterOptions)
+		if er == nil {
+			er = rt.newEpochReplays(ep, cluster.NewClonePool(rt.topo, ep.Store, rt.opts.ClusterOptions))
 			rt.mu.Lock()
-			rt.activePool = pool
+			rt.activePool = er.pool
 			rt.mu.Unlock()
 		}
 
 		prelude := recordPrelude(sc)
 		exStart := time.Now()
-		res, err := rt.runCampaign(ctx, ep, sc, prelude, pool)
+		res, err := rt.runCampaign(ctx, ep, sc, prelude, er.pool)
 		exTime := time.Since(exStart)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -829,13 +838,13 @@ func (rt *Runtime) explore(ctx context.Context, ep *checkpoint.Epoch) {
 				groups = append(groups, byInput[idx])
 			}
 		}
-		// Minimization replays are shadow-side work too: their cold rebuilds
-		// and quiescent runs are charged to ExploreTime, or the shadow
-		// overhead metric would understate the runtime's actual cost in
-		// finding-heavy soaks.
+		// Minimization replays are shadow-side work too: their clone resets,
+		// cold re-verifications and quiescent runs are charged to
+		// ExploreTime, or the shadow overhead metric would understate the
+		// runtime's actual cost in finding-heavy soaks.
 		minStart := time.Now()
 		for _, group := range groups {
-			rt.minimizeGroup(ep, group)
+			er.minimizeGroup(group)
 			for _, f := range group {
 				rt.report.Add(f)
 				rt.mu.Lock()
@@ -965,18 +974,98 @@ func traceOf(prelude []TraceStep, fromPeer, explorer string, d *dice.Detection) 
 	return steps
 }
 
-// replayKeys replays a trace against a cold clone of the epoch — a full
-// FromSnapshot rebuild, no pooling, no store shortcuts beyond the immutable
-// snapshot itself — and returns the violation keys the replayed state
-// exhibits.
-func (rt *Runtime) replayKeys(ep *checkpoint.Epoch, steps []TraceStep) map[string]bool {
-	shadow, err := cluster.FromSnapshot(rt.topo, ep.Store.Snapshot(), rt.opts.ClusterOptions)
+// epochReplays is one epoch's minimizer state: the clone pool its scenario
+// campaigns explored on, and the trials already replayed against it. A replay
+// is a pure function of the epoch's store and the trace (a reset reseeds the
+// network, and code faults are reinstalled on every replay), so identical
+// traces replay once per epoch. Only the re-verification of published traces
+// rebuilds clones cold.
+type epochReplays struct {
+	rt   *Runtime
+	ep   *checkpoint.Epoch
+	pool *cluster.ClonePool
+	// memo maps a trace's content (see traceKey) to the violation keys its
+	// pooled replay exhibited.
+	memo map[string]map[string]bool
+	// steady is the cold replay of the empty trace, shared by every
+	// steady-state finding of the epoch; steadyDone records that it ran.
+	steady     map[string]bool
+	steadyDone bool
+}
+
+// newEpochReplays starts an epoch's minimizer state over its clone pool.
+func (rt *Runtime) newEpochReplays(ep *checkpoint.Epoch, pool *cluster.ClonePool) *epochReplays {
+	return &epochReplays{rt: rt, ep: ep, pool: pool, memo: make(map[string]map[string]bool)}
+}
+
+// traceKey encodes a trace's content — From, To and Wire of every step,
+// length-prefixed — as a memo key.
+func traceKey(steps []TraceStep) string {
+	var b []byte
+	for _, s := range steps {
+		for _, f := range [][]byte{[]byte(s.From), []byte(s.To), s.Wire} {
+			b = binary.AppendUvarint(b, uint64(len(f)))
+			b = append(b, f...)
+		}
+	}
+	return string(b)
+}
+
+// trial returns the violation keys a replay of the trace exhibits on a pooled
+// clone of the epoch, replaying each distinct trace once. A failed replay is
+// not memoized.
+func (e *epochReplays) trial(steps []TraceStep) map[string]bool {
+	key := traceKey(steps)
+	if got, ok := e.memo[key]; ok {
+		return got
+	}
+	got := e.pooled(steps)
+	if got != nil {
+		e.memo[key] = got
+	}
+	return got
+}
+
+// pooled replays the trace on a clone leased from the epoch's pool: an
+// in-place reset that the pool's golden tests prove byte-identical to a cold
+// rebuild, at a fraction of its cost.
+func (e *epochReplays) pooled(steps []TraceStep) map[string]bool {
+	shadow, err := e.pool.Lease()
 	if err != nil {
 		return nil
 	}
+	defer e.pool.Release(shadow)
+	// Bound before returning: leasebalance reads a return that mentions
+	// the clone as an ownership transfer, which would hide a missing
+	// Release.
+	keys := e.rt.replayKeys(shadow, steps)
+	return keys
+}
+
+// coldSteady returns the epoch's cold empty-trace replay, running it on first
+// use.
+func (e *epochReplays) coldSteady() map[string]bool {
+	if !e.steadyDone {
+		e.steady = e.rt.coldKeys(e.ep, nil)
+		e.steadyDone = true
+	}
+	return e.steady
+}
+
+// replayKeys replays a trace on a clone in snapshot state — code faults
+// installed, each step settled, then run to quiescence — and returns the
+// violation keys the replayed state exhibits. A clone with an unhealthy node
+// (an out-of-process router whose child died) has been silently dropping
+// traffic, so its state is not the trace's: the replay returns nil, "did not
+// reproduce", exactly as the campaign's clone runner turns it into a unit
+// error instead of checking it.
+func (rt *Runtime) replayKeys(shadow *cluster.Cluster, steps []TraceStep) map[string]bool {
 	faults.InstallCodeFaults(shadow.Routers, rt.opts.CodeFaults...)
 	replaySteps(shadow, steps, rt.opts.ShadowMaxEvents)
 	shadow.Net.RunQuiescent(rt.opts.ShadowMaxEvents)
+	if shadow.Unhealthy() != nil {
+		return nil
+	}
 	out := make(map[string]bool)
 	for _, v := range checker.CheckAll(shadow, rt.props).Violations() {
 		out[v.Key()] = true
@@ -984,30 +1073,41 @@ func (rt *Runtime) replayKeys(ep *checkpoint.Epoch, steps []TraceStep) map[strin
 	return out
 }
 
-// reproduces reports whether replaying the trace on a cold clone reproduces
-// the given violation.
-func (rt *Runtime) reproduces(ep *checkpoint.Epoch, steps []TraceStep, violationKey string) bool {
-	return rt.replayKeys(ep, steps)[violationKey]
-}
-
-// minimize shrinks a single finding's trace; see minimizeGroup.
-func (rt *Runtime) minimize(ep *checkpoint.Epoch, f *Finding) {
-	rt.minimizeGroup(ep, []*Finding{f})
+// coldKeys replays a trace against a cold clone of the epoch — a full
+// FromSnapshot rebuild that shares nothing with the pooled trials but the
+// immutable snapshot — and returns the violation keys the replayed state
+// exhibits. It is the re-verification every published trace passes, counted
+// in Stats.ReverifyReplays.
+func (rt *Runtime) coldKeys(ep *checkpoint.Epoch, steps []TraceStep) map[string]bool {
+	rt.mu.Lock()
+	rt.stats.ReverifyReplays++
+	rt.mu.Unlock()
+	shadow, err := cluster.FromSnapshot(rt.topo, ep.Store.Snapshot(), rt.opts.ClusterOptions)
+	if err != nil {
+		return nil
+	}
+	return rt.replayKeys(shadow, steps)
 }
 
 // minimizeGroup greedily shrinks the shared trace of findings co-detected on
 // one clone execution: drop each step whose removal still reproduces every
-// reverifiable violation of the group on a cold clone, within the replay
-// budget. Minimizing per group rather than per finding amortizes the cold
-// replays — one detecting input often surfaces dozens of violation keys, all
-// with the identical trace.
+// reverifiable violation of the group, within the replay budget. Minimizing
+// per group rather than per finding amortizes the replays — one detecting
+// input often surfaces dozens of violation keys, all with the identical
+// trace. Every trial, memo hits included, is charged to the budget and to
+// Stats.MinimizeReplays, so the greedy walk does not depend on the memo.
 //
-// A finding whose violation does not reproduce concretely even from the full
-// trace (the detection depended on a counterfactual symbolic choice) keeps
-// its original trace with Reverified false; the others get the jointly
-// minimized trace, re-verified by construction — every accepted removal was
-// validated against a cold clone.
-func (rt *Runtime) minimizeGroup(ep *checkpoint.Epoch, group []*Finding) {
+// The trials run on the epoch's pooled clones; the published traces are then
+// re-verified cold. A non-empty minimized trace gets exactly one cold
+// FromSnapshot replay, however many findings publish it, and findings whose
+// published trace is empty (steady-state violations the epoch's state
+// already exhibits) share the epoch's one cold empty-trace replay. A finding is Reverified only when its violation shows
+// up in that cold replay; otherwise it keeps its original trace with
+// Reverified false, as does a finding whose violation does not reproduce
+// concretely even from the full trace (the detection depended on a
+// counterfactual symbolic choice).
+func (e *epochReplays) minimizeGroup(group []*Finding) {
+	rt := e.rt
 	if rt.opts.MinimizeReplays < 0 || len(group) == 0 {
 		return
 	}
@@ -1015,7 +1115,7 @@ func (rt *Runtime) minimizeGroup(ep *checkpoint.Epoch, group []*Finding) {
 	replays := 0
 	replay := func(steps []TraceStep) map[string]bool {
 		replays++
-		return rt.replayKeys(ep, steps)
+		return e.trial(steps)
 	}
 	defer func() {
 		rt.mu.Lock()
@@ -1056,19 +1156,34 @@ func (rt *Runtime) minimizeGroup(ep *checkpoint.Epoch, group []*Finding) {
 	}
 	// The joint pass minimizes to the union requirement: a steady-state
 	// violation grouped with an input-dependent one keeps whatever steps its
-	// groupmates need. One extra replay of the empty trace refines that —
-	// any finding the cold clone already exhibits gets the empty trace, its
+	// groupmates need. One extra trial of the empty trace refines that — any
+	// finding the epoch's state already exhibits gets the empty trace, its
 	// true minimum, no matter what it was co-detected with.
 	var steady map[string]bool
 	if len(steps) > 0 && replays < budget {
 		steady = replay(nil)
 	}
+	var final map[string]bool
+	finalDone := false
 	for _, f := range verifiable {
-		if steady[f.Violation.Key()] {
-			f.Trace = nil
+		key := f.Violation.Key()
+		var cold map[string]bool
+		if steady[key] || len(steps) == 0 {
+			cold = e.coldSteady()
 		} else {
+			if !finalDone {
+				final, finalDone = rt.coldKeys(e.ep, steps), true
+			}
+			cold = final
+		}
+		f.Reverified = cold[key]
+		switch {
+		case !f.Reverified:
+			// Keeps its original trace.
+		case steady[key]:
+			f.Trace = nil
+		default:
 			f.Trace = cloneSteps(steps)
 		}
-		f.Reverified = true
 	}
 }

@@ -188,9 +188,23 @@ func TestRuntimeChurnChangesFingerprints(t *testing.T) {
 	}
 }
 
+// minimize shrinks a single finding's trace the way explore does: its trials
+// lease a clone pool over the epoch's store, and the result is re-verified
+// on a cold rebuild.
+func (rt *Runtime) minimize(ep *checkpoint.Epoch, f *Finding) {
+	rt.newEpochReplays(ep, cluster.NewClonePool(rt.topo, ep.Store, rt.opts.ClusterOptions)).minimizeGroup([]*Finding{f})
+}
+
+// reproduces reports whether replaying the trace on a cold clone of the
+// epoch reproduces the violation.
+func (rt *Runtime) reproduces(ep *checkpoint.Epoch, steps []TraceStep, violationKey string) bool {
+	return rt.coldKeys(ep, steps)[violationKey]
+}
+
 // TestMinimizerShrinksTrace drives the greedy minimizer directly: a trace
 // padded with removable churn around the one hijack injection that matters
-// must shrink to exactly that injection, re-verified on a cold clone.
+// must shrink, on pooled trials, to exactly that injection, re-verified on a
+// cold clone.
 func TestMinimizerShrinksTrace(t *testing.T) {
 	topo := topology.Line(3)
 	opts := cluster.Options{Seed: 1}

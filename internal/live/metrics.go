@@ -98,7 +98,7 @@ func RegisterMetrics(reg *obs.Registry, rt func() *Runtime) {
 		func() float64 { return float64(stats().Findings) })
 	reg.CounterFunc("dice_live_findings_reverified_total", "Findings whose minimized trace re-verified on a cold clone.",
 		func() float64 { return float64(stats().FindingsReverified) })
-	reg.CounterFunc("dice_live_minimize_replays_total", "Cold-clone replays spent by the trace minimizer.",
+	reg.CounterFunc("dice_live_minimize_replays_total", "Trace-minimizer trials, replayed on pooled clone resets (each final trace is then re-verified on one cold rebuild).",
 		func() float64 { return float64(stats().MinimizeReplays) })
 	reg.GaugeFunc("dice_live_first_detection_epoch", "Epoch of the first finding (0: none yet).",
 		func() float64 { return float64(stats().FirstDetectionEpoch) })

@@ -61,8 +61,10 @@ type Finding struct {
 	// TraceOriginal is the step count before minimization.
 	TraceOriginal int
 	// Reverified reports that the (minimized) trace was replayed against a
-	// cold clone of the epoch — a full rebuild, no pooling — and reproduced
-	// the violation.
+	// cold clone of the epoch — a full FromSnapshot rebuild, no pooling — and
+	// reproduced the violation. The minimizer's trials run on the epoch's
+	// pooled clone resets; this cold replay of the final trace is the one
+	// check that shares nothing with them but the immutable snapshot.
 	Reverified bool
 }
 
