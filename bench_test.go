@@ -242,8 +242,11 @@ func BenchmarkE8CampaignParallel(b *testing.B) { benchCampaignDemo27(b, runtime.
 // ---------------------------------------------------------------------------
 
 func demo27Snapshot(b *testing.B) (*topology.Topology, *checkpoint.Snapshot) {
+	return convergedSnapshot(b, topology.Demo27())
+}
+
+func convergedSnapshot(b *testing.B, topo *topology.Topology) (*topology.Topology, *checkpoint.Snapshot) {
 	b.Helper()
-	topo := topology.Demo27()
 	live := cluster.MustBuild(topo, cluster.Options{Seed: 1, GaoRexford: true})
 	live.Converge()
 	return topo, live.Snapshot()
@@ -277,19 +280,33 @@ func BenchmarkE9CloneStoreBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkE9ClonePooledReset measures the pooled hot path: lease a clone
-// (rewinding it to the snapshot in place) and release it.
+// BenchmarkE9ClonePooledReset measures the pooled hot path: lease a clone,
+// rewinding it to the snapshot in place. Between lease and release the clone
+// runs one explored input, untimed, so every timed reset rewinds the routers
+// that input reached, as in a campaign.
 func BenchmarkE9ClonePooledReset(b *testing.B) {
-	topo, snap := demo27Snapshot(b)
+	benchPooledReset(b, topology.Demo27())
+}
+
+// BenchmarkE9ClonePooledResetGR100 is the pooled reset on the 100-router
+// Gao-Rexford topology of the campaign-gr100 workload, where one input
+// reaches a small share of the routers.
+func BenchmarkE9ClonePooledResetGR100(b *testing.B) {
+	benchPooledReset(b, topology.GaoRexford(3, 25, 72, 1))
+}
+
+func benchPooledReset(b *testing.B, topo *topology.Topology) {
+	_, snap := convergedSnapshot(b, topo)
 	store, err := checkpoint.NewStore(snap)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := cluster.NewClonePool(topo, store, cluster.Options{Seed: 1})
+	pool := cluster.NewClonePool(topo, store, cluster.Options{Seed: 1, GaoRexford: true})
 	warm, err := pool.Lease()
 	if err != nil {
 		b.Fatal(err)
 	}
+	exploreOnce(warm)
 	pool.Release(warm)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -297,7 +314,10 @@ func BenchmarkE9ClonePooledReset(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		exploreOnce(c)
 		pool.Release(c)
+		b.StartTimer()
 	}
 }
 

@@ -667,7 +667,12 @@ func RunE7(cfg ExperimentConfig) (*E7Result, error) {
 	props := checker.DefaultProperties(topo)
 	report := checker.CheckAll(live, props)
 	narrow := report.DisclosedBytes()
-	full := checker.FullStateDisclosure(live)
+	// Full-state sharing ships every node's whole checkpoint.
+	sizes, err := checkpoint.Measure(live.Snapshot())
+	if err != nil {
+		return nil, err
+	}
+	full := sizes.NodeBytes()
 	detected := false
 	for _, v := range report.Violations() {
 		if v.Class == checker.ClassOperatorMistake {
@@ -864,6 +869,19 @@ type E9Result struct {
 	CodecSizeRatio float64
 }
 
+// exploreOnce drives one explored input through a leased clone, as a
+// campaign worker does: an UPDATE for a fresh prefix, sent to the first
+// router by its first neighbor, run to quiescence. Reset measurements run it
+// between lease and release, so each timed reset rewinds the routers one
+// input reached instead of a clone nothing touched.
+func exploreOnce(c *cluster.Cluster) {
+	explorer := c.Topo.Nodes[0].Name
+	peer := c.Topo.NeighborsOf(explorer)[0]
+	attrs := &bgp.PathAttributes{Origin: bgp.OriginIGP, ASPath: []bgp.ASN{c.Topo.Node(peer).AS, 64999}, NextHop: 99}
+	c.InjectUpdate(peer, explorer, &bgp.Update{Attrs: attrs, NLRI: []bgp.Prefix{bgp.MustParsePrefix("88.1.0.0/16")}})
+	c.Net.RunQuiescent(0)
+}
+
 // RunE9 measures the clone lifecycle on the 27-router demo.
 func RunE9(cfg ExperimentConfig) (*E9Result, error) {
 	topo := topology.Demo27()
@@ -908,14 +926,17 @@ func RunE9(cfg ExperimentConfig) (*E9Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	exploreOnce(warm)
 	pool.Release(warm)
 	for i := 0; i < out.CloneSamples; i++ {
 		c, err := pool.Lease()
 		if err != nil {
 			return nil, err
 		}
+		exploreOnce(c)
 		pool.Release(c)
 	}
+	// ResetPer times only the rewinds, not the inputs between them.
 	out.PooledResetPer = pool.Stats().ResetPer()
 	if out.PooledResetPer > 0 {
 		out.CloneSpeedup = float64(out.ColdClonePer) / float64(out.PooledResetPer)
@@ -962,10 +983,7 @@ func RunE9(cfg ExperimentConfig) (*E9Result, error) {
 		return nil, err
 	}
 	defer pool.Release(clone)
-	peer := topo.NeighborsOf("R1")[0]
-	attrs := &bgp.PathAttributes{Origin: bgp.OriginIGP, ASPath: []bgp.ASN{topo.Node(peer).AS, 64999}, NextHop: 99}
-	clone.InjectUpdate(peer, "R1", &bgp.Update{Attrs: attrs, NLRI: []bgp.Prefix{bgp.MustParsePrefix("88.1.0.0/16")}})
-	clone.Net.RunQuiescent(0)
+	exploreOnce(clone)
 	totalFull, totalDelta := 0, 0
 	for _, name := range clone.RouterNames() {
 		d, err := store.Delta(name, clone.Router(name).TakeCheckpoint())

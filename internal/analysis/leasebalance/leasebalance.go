@@ -11,7 +11,9 @@
 //   - (*cluster.ClonePool).Lease: the returned *Cluster must be released
 //     (pool.Release(c)), returned to the caller (ownership transfers), or
 //     stored into a longer-lived structure (field, slice, map, channel —
-//     the pool's own free list is the canonical example).
+//     the pool's own free list is the canonical example). Only a return of
+//     the clone itself, a composite literal holding it or a func literal
+//     capturing it transfers ownership; `return f(c)` merely uses it.
 //   - A function annotated `//dice:lease` returns a release closure (the
 //     first func() result); callers must invoke it, defer it, or pass it
 //     on. Campaign.leaseClone is the canonical carrier.
@@ -608,21 +610,44 @@ func isNil(pass *analysis.Pass, e ast.Expr) bool {
 	return isNilObj
 }
 
-// returnsVar reports whether the return statement's results mention v.
+// returnsVar reports whether the return statement hands v to the caller.
 func returnsVar(pass *analysis.Pass, ret *ast.ReturnStmt, v *types.Var) bool {
 	for _, r := range ret.Results {
+		if transfers(pass, r, v) {
+			return true
+		}
+	}
+	return false
+}
+
+// transfers reports whether a returned expression carries v out of the
+// function: v itself, a composite literal (or &T{...}) holding it, or a func
+// literal capturing it. Any other mention — f(v), v.Field — only uses the
+// lease, so the obligation stays with this function.
+func transfers(pass *analysis.Pass, e ast.Expr, v *types.Var) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return pass.TypesInfo.Uses[e] == v
+	case *ast.UnaryExpr:
+		return e.Op == token.AND && transfers(pass, e.X, v)
+	case *ast.CompositeLit:
+		for _, elt := range e.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
+			}
+			if transfers(pass, elt, v) {
+				return true
+			}
+		}
+	case *ast.FuncLit:
 		found := false
-		ast.Inspect(r, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if pass.TypesInfo.Uses[id] == v {
-					found = true
-				}
+		ast.Inspect(e.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == v {
+				found = true
 			}
 			return !found
 		})
-		if found {
-			return true
-		}
+		return found
 	}
 	return false
 }

@@ -194,3 +194,52 @@ func Allowed(p *cluster.ClonePool) {
 	c, _ := p.Lease()
 	use(c)
 }
+
+func summarize(*cluster.Cluster) int { return 0 }
+
+// BadReturnUse returns a value computed from the clone; the clone itself
+// stays here and is never released.
+func BadReturnUse(p *cluster.ClonePool) (int, error) {
+	c, err := p.Lease() // want `not released on every path`
+	if err != nil {
+		return 0, err
+	}
+	return summarize(c), nil
+}
+
+// GoodReturnUse releases before the returned call runs out of scope.
+func GoodReturnUse(p *cluster.ClonePool) (int, error) {
+	c, err := p.Lease()
+	if err != nil {
+		return 0, err
+	}
+	defer p.Release(c)
+	return summarize(c), nil
+}
+
+// BadReturnField returns a field of the clone, not the clone.
+func BadReturnField(p *cluster.ClonePool) (any, error) {
+	c, err := p.Lease() // want `not released on every path`
+	if err != nil {
+		return nil, err
+	}
+	return c.Net, nil
+}
+
+// GoodReturnWrapped returns the clone inside a composite literal.
+func GoodReturnWrapped(p *cluster.ClonePool) (*holder, error) {
+	c, err := p.Lease()
+	if err != nil {
+		return nil, err
+	}
+	return &holder{c: c}, nil
+}
+
+// GoodReturnClosure returns a func literal that owns the clone.
+func GoodReturnClosure(p *cluster.ClonePool) (func(), error) {
+	c, err := p.Lease()
+	if err != nil {
+		return nil, err
+	}
+	return func() { p.Release(c) }, nil
+}

@@ -3,6 +3,7 @@ package bird
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"github.com/dice-project/dice/internal/bgp"
@@ -88,6 +89,9 @@ func (im *Image) Implementation() string { return Implementation }
 // A State is immutable after DecodeState and safe to share across concurrent
 // restores.
 type State struct {
+	// id is unique per decode and never zero; routers remember the id of
+	// the State they were last rewound to.
+	id        uint64
 	sessions  []SessionRecord
 	tmpl      routeTemplate
 	locRIB    span
@@ -204,10 +208,14 @@ func (tm *routeTemplate) instantiate() []rib.Route {
 	return routes
 }
 
+// stateIDs numbers decoded States.
+var stateIDs atomic.Uint64
+
 // DecodeState converts a checkpoint's serializable records into restore-ready
 // slab form.
 func DecodeState(cp *Checkpoint) (*State, error) {
 	st := &State{
+		id:        stateIDs.Add(1),
 		sessions:  append([]SessionRecord(nil), cp.Sessions...),
 		stats:     cp.Stats,
 		panicked:  cp.Panicked,
@@ -289,8 +297,10 @@ func (im *Image) Restore(st *State) (*Router, error) {
 // crash flags, armed explorations and injected fault hooks — is overwritten.
 // This is the pooled-clone hot path: resetting an existing router is
 // equivalent to (and much cheaper than) restoring a fresh one from the
-// checkpoint. It implements node.Router, so the image and state arrive
-// behind the neutral interfaces and must be this backend's own.
+// checkpoint. A router that no handler has touched since it was last
+// rewound to this same state on this same image only has its armed
+// exploration and hook cleared. It implements node.Router, so the image and
+// state arrive behind the neutral interfaces and must be this backend's own.
 func (r *Router) ResetTo(nim node.Image, nst node.State) error {
 	im, ok := nim.(*Image)
 	if !ok {
@@ -300,10 +310,13 @@ func (r *Router) ResetTo(nim node.Image, nst node.State) error {
 	if !ok {
 		return fmt.Errorf("bird: reset %s: state is %T, not a bird state", r.cfg.Name, nst)
 	}
-	r.cfg = im.cfg
 	r.explore = exploration{}
 	r.activeMachine = nil
 	r.hook = nil
+	if !r.dirty && r.applied == st.id && r.cfg == im.cfg {
+		return nil
+	}
+	r.cfg = im.cfg
 	return r.applyState(im, st)
 }
 
@@ -311,8 +324,9 @@ func (r *Router) ResetTo(nim node.Image, nst node.State) error {
 // instantiation of the decoded state. Each instantiation deep-copies every
 // route, so concurrent clones sharing one State never alias mutable
 // attributes; existing RIB structures are cleared and reused rather than
-// reallocated.
+// reallocated. On success the router is clean and holds st.
 func (r *Router) applyState(im *Image, st *State) error {
+	r.applied = 0
 	for name := range r.sessions {
 		if im.cfg.Neighbor(name) == nil {
 			delete(r.sessions, name)
@@ -392,5 +406,6 @@ func (r *Router) applyState(im *Image, st *State) error {
 	} else {
 		r.events = nil
 	}
+	r.applied, r.dirty = st.id, false
 	return nil
 }

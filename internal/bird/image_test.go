@@ -27,6 +27,13 @@ func canonical(t testing.TB, cp *Checkpoint) string {
 // first one (which now has established sessions and learned routes).
 func convergedPair(t testing.TB) *Router {
 	t.Helper()
+	r1, _ := convergedPeers(t)
+	return r1
+}
+
+// convergedPeers is convergedPair returning both routers, R1 and R2.
+func convergedPeers(t testing.TB) (*Router, *Router) {
+	t.Helper()
 	mkCfg := func(name string, as bgp.ASN, id bgp.RouterID, prefix, peer string, peerAS bgp.ASN) *Config {
 		return &Config{
 			Name: name, AS: as, RouterID: id,
@@ -47,7 +54,7 @@ func convergedPair(t testing.TB) *Router {
 	if r1.SessionState("R2") != StateEstablished {
 		t.Fatal("pair did not converge")
 	}
-	return r1
+	return r1, r2
 }
 
 func TestImageRestoreMatchesColdRestore(t *testing.T) {
@@ -91,7 +98,9 @@ func TestResetToRewindsDirtyRouter(t *testing.T) {
 	baseline := canonical(t, clone.Checkpoint())
 
 	// Dirty every kind of mutable state: RIBs, counters, events, sessions,
-	// crash flags, fault hooks and armed explorations.
+	// crash flags, fault hooks and armed explorations. The writes bypass
+	// every handler, so mark the router dirty the way a handler does.
+	clone.dirty = true
 	leaked := &rib.Route{
 		Prefix: bgp.MustParsePrefix("99.9.0.0/16"),
 		Attrs:  &bgp.PathAttributes{Origin: bgp.OriginIGP, ASPath: []bgp.ASN{65099}, NextHop: 9},
@@ -120,6 +129,91 @@ func TestResetToRewindsDirtyRouter(t *testing.T) {
 	}
 	if p, _ := clone.Panicked(); p {
 		t.Errorf("reset must clear the crash flag")
+	}
+}
+
+// TestResetToSkipsCleanRouter pins the clean-reset fast path: a router
+// restored from (image, state) and not touched since resets to the same pair
+// without allocating and stays byte-identical. An UPDATE delivered through
+// HandleMessage dirties it, and the next reset rewinds it to the baseline.
+func TestResetToSkipsCleanRouter(t *testing.T) {
+	r1, r2 := convergedPeers(t)
+	cp := r1.Checkpoint()
+	im, err := ImageOf(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := DecodeState(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := im.Restore(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := Restore(r2.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := canonical(t, clone.Checkpoint())
+
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := clone.ResetTo(im, st); err != nil {
+			t.Fatalf("ResetTo: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("clean ResetTo allocated %.1f times per call, want 0", allocs)
+	}
+	if got := canonical(t, clone.Checkpoint()); got != baseline {
+		t.Errorf("clean reset changed the checkpoint:\n got %s\nwant %s", got, baseline)
+	}
+
+	net := netem.New(netem.Options{Seed: 1})
+	net.AddNode(clone)
+	net.AddNode(peer)
+	net.Connect("R1", "R2", netem.LinkConfig{Delay: time.Millisecond})
+	attrs := &bgp.PathAttributes{Origin: bgp.OriginIGP, ASPath: []bgp.ASN{65002, 64999}, NextHop: 9}
+	net.InjectMessage("R2", "R1", bgp.Encode(&bgp.Update{Attrs: attrs, NLRI: []bgp.Prefix{bgp.MustParsePrefix("88.1.0.0/16")}}), 0)
+	net.RunQuiescent(0)
+	if canonical(t, clone.Checkpoint()) == baseline {
+		t.Fatal("the delivered UPDATE did not change the checkpoint; test is vacuous")
+	}
+	if err := clone.ResetTo(im, st); err != nil {
+		t.Fatalf("ResetTo: %v", err)
+	}
+	if got := canonical(t, clone.Checkpoint()); got != baseline {
+		t.Errorf("reset after HandleMessage differs from baseline:\n got %s\nwant %s", got, baseline)
+	}
+}
+
+// TestResetToRewindsInvariantCount: CheckInvariants records its failure
+// count in the router's counters, so a check whose count differs from the
+// restored state's dirties the router, and the next reset rewinds it.
+func TestResetToRewindsInvariantCount(t *testing.T) {
+	cp := convergedPair(t).Checkpoint()
+	cp.Panicked, cp.LastPanic = true, "boom" // crashed, never checked
+	im, err := ImageOf(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := DecodeState(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := im.Restore(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := canonical(t, clone.Checkpoint())
+	if len(clone.CheckInvariants()) == 0 || canonical(t, clone.Checkpoint()) == baseline {
+		t.Fatal("the check did not change the failure count; test is vacuous")
+	}
+	if err := clone.ResetTo(im, st); err != nil {
+		t.Fatalf("ResetTo: %v", err)
+	}
+	if got := canonical(t, clone.Checkpoint()); got != baseline {
+		t.Errorf("reset after CheckInvariants differs from baseline:\n got %s\nwant %s", got, baseline)
 	}
 }
 

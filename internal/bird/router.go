@@ -114,6 +114,15 @@ type Router struct {
 	panicked  bool
 	lastPanic string
 	started   bool
+
+	// applied is the id of the State the router was last rewound to; an
+	// id rather than the pointer, so a cold clone does not keep its
+	// privately decoded State alive. dirty records that the router's state
+	// may have changed since: Start, HandleMessage and HandleTimer set it,
+	// as does CheckInvariants when it changes the failure counter. ResetTo
+	// skips the rewind of a clean router asked for the State it holds.
+	applied uint64
+	dirty   bool
 }
 
 // New builds a router from its configuration and installs the locally
@@ -260,6 +269,7 @@ func (r *Router) Start(env netem.Env) {
 		return
 	}
 	r.started = true
+	r.dirty = true
 	for _, n := range r.cfg.Neighbors {
 		r.startSession(env, r.sessions[n.Name])
 	}
@@ -279,6 +289,7 @@ func (r *Router) startSession(env netem.Env, s *session) {
 
 // HandleTimer implements netem.Node.
 func (r *Router) HandleTimer(env netem.Env, name string) {
+	r.dirty = true
 	switch {
 	case len(name) > 6 && name[:6] == "retry/":
 		peer := name[6:]
@@ -302,6 +313,7 @@ func (r *Router) HandleTimer(env netem.Env, name string) {
 // than taking the whole emulation down, mirroring a daemon that crashes and
 // gets flagged by its supervisor.
 func (r *Router) HandleMessage(env netem.Env, from netem.NodeID, payload []byte) {
+	r.dirty = true
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.panicked = true
@@ -684,6 +696,9 @@ func (r *Router) CheckInvariants() []string {
 			violations = append(violations, fmt.Sprintf("Adj-RIB-Out for down session %s is not empty", peer))
 		}
 	}
-	r.stats.InvariantFailures = len(violations)
+	if n := len(violations); n != r.stats.InvariantFailures {
+		r.stats.InvariantFailures = n
+		r.dirty = true
+	}
 	return violations
 }

@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	"github.com/dice-project/dice/internal/bgp"
-	"github.com/dice-project/dice/internal/checkpoint"
 	"github.com/dice-project/dice/internal/cluster"
 	"github.com/dice-project/dice/internal/topology"
 )
@@ -209,22 +208,6 @@ func PropertiesByName(topo *topology.Topology, names ...string) ([]Property, err
 		}
 	}
 	return out, nil
-}
-
-// FullStateDisclosure computes the number of bytes that would cross domain
-// boundaries if nodes shared their entire checkpoints with the checking plane
-// instead of verdicts — the baseline the narrow interface is compared against
-// in experiment E7.
-func FullStateDisclosure(c *cluster.Cluster) int {
-	total := 0
-	for _, name := range c.RouterNames() {
-		data, err := checkpoint.EncodeNode(c.Router(name).TakeCheckpoint())
-		if err != nil {
-			continue
-		}
-		total += len(data)
-	}
-	return total
 }
 
 //

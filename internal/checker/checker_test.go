@@ -7,6 +7,7 @@ import (
 	"github.com/dice-project/dice/internal/bgp"
 	"github.com/dice-project/dice/internal/bgp/policy"
 	"github.com/dice-project/dice/internal/bird"
+	"github.com/dice-project/dice/internal/checkpoint"
 	"github.com/dice-project/dice/internal/cluster"
 	"github.com/dice-project/dice/internal/node"
 	"github.com/dice-project/dice/internal/topology"
@@ -18,6 +19,17 @@ func convergedLine(t *testing.T, n int, override func(cfg *bird.Config)) (*topol
 	c := cluster.MustBuild(topo, cluster.Options{Seed: 1, ConfigOverride: override})
 	c.Converge()
 	return topo, c
+}
+
+// fullStateBytes is what sharing every node's whole checkpoint with the
+// checking plane would cost: the baseline the narrow interface beats.
+func fullStateBytes(t *testing.T, c *cluster.Cluster) int {
+	t.Helper()
+	sizes, err := checkpoint.Measure(c.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sizes.NodeBytes()
 }
 
 func TestOwnershipFromTopology(t *testing.T) {
@@ -41,7 +53,7 @@ func TestAllPropertiesHoldOnHealthySystem(t *testing.T) {
 		t.Errorf("disclosure accounting missing")
 	}
 	// The narrow interface shares far less than full node state.
-	full := FullStateDisclosure(c)
+	full := fullStateBytes(t, c)
 	if report.DisclosedBytes() >= full {
 		t.Errorf("narrow interface (%d bytes) should be smaller than full state (%d bytes)",
 			report.DisclosedBytes(), full)
@@ -168,7 +180,7 @@ func TestLoopFreedomCleanAndDisclosureMinimal(t *testing.T) {
 	if res.DisclosedBytes <= 0 {
 		t.Errorf("loop checking must account for its (minimal) disclosure")
 	}
-	if res.DisclosedBytes >= FullStateDisclosure(c) {
+	if res.DisclosedBytes >= fullStateBytes(t, c) {
 		t.Errorf("projection disclosure should be far below full state")
 	}
 	_ = topo

@@ -301,6 +301,16 @@ type Sizes struct {
 	Messages     int
 }
 
+// NodeBytes sums the per-node canonical encodings: what sharing every node's
+// full checkpoint would ship, without the snapshot envelope.
+func (s Sizes) NodeBytes() int {
+	total := 0
+	for _, n := range s.PerNodeBytes {
+		total += n
+	}
+	return total
+}
+
 // Measure reports the snapshot's encoded footprint. Every node checkpoint is
 // encoded exactly once (the canonical codec form); the envelope's size is
 // computed arithmetically, so TotalBytes equals len(Encode(s)) without ever

@@ -263,6 +263,18 @@ func (c *Cluster) Unhealthy() error {
 	return nil
 }
 
+// Close kills the subprocesses of the cluster's out-of-process routers and
+// waits until they are reaped; drivers opt in by implementing `Close()`.
+// In-process routers hold nothing outside the process, so for them Close
+// does nothing. A closed cluster must not be run again.
+func (c *Cluster) Close() {
+	for _, r := range c.Routers {
+		if cl, ok := r.(interface{ Close() }); ok {
+			cl.Close()
+		}
+	}
+}
+
 // Converge runs the emulation until quiescence (routing converged) and
 // returns the number of events processed.
 func (c *Cluster) Converge() int {
@@ -315,6 +327,7 @@ func FromSnapshot(topo *topology.Topology, snap *checkpoint.Snapshot, opts Optio
 		}
 		r, err := node.RestoreRouter(cp)
 		if err != nil {
+			c.Close()
 			return nil, err
 		}
 		c.Routers[tn.Name] = r

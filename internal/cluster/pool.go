@@ -29,6 +29,7 @@ func FromStore(topo *topology.Topology, store *checkpoint.Store, opts Options) (
 	for _, tn := range topo.Nodes {
 		r, err := store.Restore(tn.Name)
 		if err != nil {
+			c.Close()
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
 		c.Routers[tn.Name] = r
@@ -166,10 +167,10 @@ func (p *ClonePool) Store() *checkpoint.Store { return p.store }
 
 // Lease returns a shadow cluster in snapshot state: a pooled clone rewound to
 // the snapshot, or a cold-built one when the pool is empty. A pooled clone
-// whose in-place reset fails is discarded (counted in PoolStats.Discards) and
-// the lease falls through to the next free clone or a cold build, so a
-// corrupted clone degrades the pool instead of failing the campaign. The
-// caller owns the clone until Release.
+// whose in-place reset fails is closed and discarded (counted in
+// PoolStats.Discards) and the lease falls through to the next free clone or
+// a cold build, so a corrupted clone degrades the pool instead of failing
+// the campaign. The caller owns the clone until Release.
 func (p *ClonePool) Lease() (*Cluster, error) {
 	for {
 		p.mu.Lock()
@@ -200,6 +201,7 @@ func (p *ClonePool) Lease() (*Cluster, error) {
 		err := c.ResetToStore(p.store)
 		elapsed := time.Since(start)
 		if err != nil {
+			c.Close()
 			p.mu.Lock()
 			p.stats.Discards++
 			p.mu.Unlock()
@@ -216,13 +218,17 @@ func (p *ClonePool) Lease() (*Cluster, error) {
 
 // Release returns a leased clone to the pool. The clone may be in any state;
 // it is rewound to the snapshot on its next lease. A clone with an unhealthy
-// driver (dead subprocess) is discarded instead of pooled — the release is
-// still counted, so Leases==Releases holds and the leak tests stay sound.
+// driver (dead subprocess) is closed and discarded instead of pooled — the
+// release is still counted, so Leases==Releases holds and the leak tests
+// stay sound.
 func (p *ClonePool) Release(c *Cluster) {
 	if c == nil {
 		return
 	}
 	dead := c.Unhealthy() != nil
+	if dead {
+		c.Close()
+	}
 	p.mu.Lock()
 	if dead {
 		p.stats.Discards++

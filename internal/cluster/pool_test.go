@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -9,6 +10,8 @@ import (
 
 	"github.com/dice-project/dice/internal/bgp"
 	"github.com/dice-project/dice/internal/checkpoint"
+	"github.com/dice-project/dice/internal/concolic"
+	"github.com/dice-project/dice/internal/node"
 	"github.com/dice-project/dice/internal/topology"
 )
 
@@ -116,6 +119,71 @@ func TestPooledResetEquivalentToColdRebuild(t *testing.T) {
 			}
 			if pooled.Net.Stats() != cold.Net.Stats() {
 				t.Errorf("transport stats diverged: pooled %+v, cold %+v", pooled.Net.Stats(), cold.Net.Stats())
+			}
+		})
+	}
+}
+
+// TestPooledResetClearsControlOnUntouchedRouters: a reset skips the rewind
+// of a router no input reached, but must still drop the exploration and the
+// fault hook armed on it. For every backend, both are armed on a router the
+// input never reaches; after the clone is released and leased again, an
+// UPDATE to that router must fire neither, and the clone must evolve exactly
+// as a cold rebuild does.
+func TestPooledResetClearsControlOnUntouchedRouters(t *testing.T) {
+	for _, impl := range []string{"bird", "frr", "obgpd"} {
+		t.Run(impl, func(t *testing.T) {
+			topo := topology.Line(4).SetImpl(impl)
+			opts := Options{Seed: 1}
+			live := MustBuild(topo, opts)
+			live.Converge()
+			snap := live.Snapshot()
+			store, err := checkpoint.NewStore(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := NewClonePool(topo, store, opts)
+
+			clone, err := pool.Lease()
+			if err != nil {
+				t.Fatal(err)
+			}
+			idle := clone.Router("R4")
+			m := concolic.NewMachine(&concolic.Input{Regions: map[string][]byte{}}, concolic.MachineOptions{})
+			idle.ExploreNextUpdate(m, "R3")
+			fired := 0
+			idle.SetUpdateHook(func(node.HookContext, string, *bgp.Update) error {
+				fired++
+				return errors.New("stale hook fired")
+			})
+			clone.InjectUpdate("R2", "R1", exploredInput(0, topo.Node("R2").AS))
+			clone.Net.RunQuiescent(0)
+			pool.Release(clone)
+
+			again, err := pool.Lease()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again != clone {
+				t.Fatal("pool did not recycle the clone")
+			}
+			cold, err := FromSnapshot(topo, snap, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := exploredInput(1, topo.Node("R3").AS)
+			for _, c := range []*Cluster{again, cold} {
+				c.InjectUpdate("R3", "R4", in)
+				c.Net.RunQuiescent(0)
+			}
+			if fired != 0 {
+				t.Errorf("hook armed before the reset fired %d times after it", fired)
+			}
+			if n := len(m.Path()); n != 0 {
+				t.Errorf("exploration armed before the reset recorded %d branches after it", n)
+			}
+			if got, want := clusterCanonical(t, again), clusterCanonical(t, cold); got != want {
+				t.Errorf("pooled clone diverged from cold rebuild after the input")
 			}
 		})
 	}

@@ -574,9 +574,7 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 			c.snapStats.SnapshotBytes = sizes.TotalBytes
 			// The store's baseline encodings are what a full-state exchange
 			// would ship; the live cluster (possibly nil) stays untouched.
-			for _, n := range sizes.PerNodeBytes {
-				c.snapStats.FullStateBytes += n
-			}
+			c.snapStats.FullStateBytes = sizes.NodeBytes()
 		}
 	} else {
 		if c.live == nil {
@@ -594,10 +592,10 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 			SnapshotDuration: time.Since(snapStart),
 			SnapshotNodes:    len(c.snap.Nodes),
 			InFlightMessages: len(c.snap.InFlight),
-			FullStateBytes:   checker.FullStateDisclosure(c.live),
 		}
 		if sizes, err := checkpoint.Measure(c.snap); err == nil {
 			c.snapStats.SnapshotBytes = sizes.TotalBytes
+			c.snapStats.FullStateBytes = sizes.NodeBytes()
 		}
 	}
 	c.props = c.cfg.properties

@@ -170,3 +170,50 @@ func TestCampaignClonePrelude(t *testing.T) {
 		t.Errorf("prelude violation first seen at input %d, want 1", d.InputIndex)
 	}
 }
+
+// TestFullStateBytesMatchesEncodedCheckpoints pins the full-state baseline a
+// campaign reports to what it stands for: the canonical encoding of every
+// node's whole checkpoint, summed. Both cut paths — a campaign that
+// snapshots the live cluster and one over a pre-taken store — must report
+// exactly that sum, on a bird deployment, the 100-router Gao-Rexford one and
+// a mixed bird+frr one.
+func TestFullStateBytesMatchesEncodedCheckpoints(t *testing.T) {
+	for _, topo := range []*topology.Topology{
+		topology.Demo27(),
+		topology.GaoRexford(3, 25, 72, 1),
+		topology.Demo27Hetero(),
+	} {
+		t.Run(topo.Name, func(t *testing.T) {
+			opts := cluster.Options{Seed: 1, GaoRexford: true}
+			live := cluster.MustBuild(topo, opts)
+			live.Converge()
+			want := 0
+			for _, name := range live.RouterNames() {
+				data, err := checkpoint.EncodeNode(live.Router(name).TakeCheckpoint())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += len(data)
+			}
+			store, err := checkpoint.NewStore(live.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			explorer := topo.Nodes[0].Name
+			unit := Unit{Explorer: explorer, FromPeer: topo.NeighborsOf(explorer)[0], MaxInputs: 1, FuzzSeeds: 1, Seed: 1}
+			for name, liveArg := range map[string]*cluster.Cluster{"live-cut": live, "store": nil} {
+				copts := []CampaignOption{WithUnits(unit), WithSeed(1), WithWorkers(1), WithClusterOptions(opts)}
+				if liveArg == nil {
+					copts = append(copts, WithSnapshotStore(store))
+				}
+				res, err := NewCampaign(liveArg, topo, copts...).Run(context.Background())
+				if err != nil {
+					t.Fatalf("%s campaign: %v", name, err)
+				}
+				if res.FullStateBytes != want {
+					t.Errorf("%s campaign: FullStateBytes = %d, want %d (sum of encoded checkpoints)", name, res.FullStateBytes, want)
+				}
+			}
+		})
+	}
+}

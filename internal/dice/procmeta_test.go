@@ -162,3 +162,31 @@ func TestMetamorphicProcCrashMidUnit(t *testing.T) {
 		t.Errorf("goroutines leaked across crash campaign: %d before, %d after", goroutinesBefore, now)
 	}
 }
+
+// TestColdProcClonesReaped: with pooling off every input runs on a cold
+// FromSnapshot clone, which spawns one subprocess per proc: node. Releasing
+// the clone must kill them, so after the campaign only the deployment's own
+// children are alive.
+func TestColdProcClonesReaped(t *testing.T) {
+	requireProcSpawn(t)
+	topo, live, copts := procHijackedLine(t, 3, "proc:bird")
+	own := procdriver.LiveChildren()
+	res, err := NewCampaign(live, topo,
+		WithUnits(Unit{Explorer: "R2", FromPeer: "R1"}),
+		WithBudget(Budget{TotalInputs: 3}),
+		WithFuzzSeeds(1),
+		WithSeed(7),
+		WithWorkers(1),
+		WithClusterOptions(copts),
+		WithPooledClones(false),
+	).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CloneStats.ColdBuilds == 0 {
+		t.Fatal("campaign built no cold clones; the check is vacuous")
+	}
+	if got := procdriver.LiveChildren(); got != own {
+		t.Errorf("%d subprocesses alive after %d cold clones, want the deployment's %d", got, res.CloneStats.ColdBuilds, own)
+	}
+}

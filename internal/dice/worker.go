@@ -75,9 +75,11 @@ func (c *Campaign) leaseClone() (*cluster.Cluster, func(), error) {
 	c.coldStats.ColdBuilds++
 	c.coldStats.ColdBuildTime += elapsed
 	c.coldMu.Unlock()
-	// Cold clones are not pooled, but their release is still accounted so
+	// Cold clones are not pooled: release closes them, killing the
+	// subprocesses of proc:* nodes, and is still accounted so
 	// Leases == Releases holds for both lifecycles.
 	return shadow, func() {
+		shadow.Close()
 		c.coldMu.Lock()
 		c.coldStats.Releases++
 		c.coldMu.Unlock()

@@ -2,6 +2,7 @@ package frr
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/dice-project/dice/internal/bgp"
@@ -145,6 +146,9 @@ type routeSpan struct {
 // observable behavior (the cross-backend golden tests hold both to it).
 // A State is immutable after DecodeState and safe to share across clones.
 type State struct {
+	// id is unique per decode and never zero; routers remember the id of
+	// the State they were last rewound to.
+	id        uint64
 	sessions  []node.SessionRecord
 	routes    []*rib.Route
 	locRIB    routeSpan
@@ -157,10 +161,14 @@ type State struct {
 	started   bool
 }
 
+// stateIDs numbers decoded States.
+var stateIDs atomic.Uint64
+
 // DecodeState converts a checkpoint's serializable records into restore-ready
 // form.
 func DecodeState(cp *Checkpoint) (*State, error) {
 	st := &State{
+		id:        stateIDs.Add(1),
 		sessions:  append([]node.SessionRecord(nil), cp.Sessions...),
 		stats:     cp.Stats,
 		panicked:  cp.Panicked,
@@ -235,7 +243,9 @@ func Restore(cp *Checkpoint) (*Router, error) {
 }
 
 // ResetTo implements node.Router: it returns the router to the snapshot
-// described by (image, state) in place — the pooled-clone hot path.
+// described by (image, state) in place — the pooled-clone hot path. A
+// router that no handler has touched since it was last rewound to this same
+// state on this same image only has its armed exploration and hook cleared.
 func (r *Router) ResetTo(nim node.Image, nst node.State) error {
 	im, ok := nim.(*Image)
 	if !ok {
@@ -248,13 +258,18 @@ func (r *Router) ResetTo(nim node.Image, nst node.State) error {
 	r.exploreMachine, r.explorePeer, r.explorePending = nil, "", false
 	r.activeMachine = nil
 	r.hook = nil
+	if !r.dirty && r.applied == st.id && r.cfg == im.cfg {
+		return nil
+	}
 	return r.applyState(im, st)
 }
 
 // applyState overwrites the router's mutable state with a fresh
 // instantiation of the decoded state. Every route is deep-copied, so
-// concurrent clones sharing one State never alias mutable attributes.
+// concurrent clones sharing one State never alias mutable attributes. On
+// success the router is clean and holds st.
 func (r *Router) applyState(im *Image, st *State) error {
+	r.applied = 0
 	r.cfg = im.cfg
 	r.peers = make(map[string]*peer, len(im.cfg.Neighbors))
 	r.order = r.order[:0]
@@ -304,5 +319,6 @@ func (r *Router) applyState(im *Image, st *State) error {
 	} else {
 		r.events = nil
 	}
+	r.applied, r.dirty = st.id, false
 	return nil
 }

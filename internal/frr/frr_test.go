@@ -181,6 +181,62 @@ func TestFRRResetEquivalentToColdRebuild(t *testing.T) {
 	}
 }
 
+// TestFRRCleanResetSkipsRewind pins the clean-reset fast path: a router
+// restored from the store and not touched since resets to the same image and
+// state without allocating and stays byte-identical. An UPDATE delivered
+// through HandleMessage dirties it, and the next reset rewinds it to the
+// baseline.
+func TestFRRCleanResetSkipsRewind(t *testing.T) {
+	topo := frrLine(3)
+	opts := cluster.Options{Seed: 1}
+	live := cluster.MustBuild(topo, opts)
+	live.Converge()
+	store, err := checkpoint.NewStore(live.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := cluster.FromStore(topo, store, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := clone.Router("R1")
+	im, st := store.Image("R1"), store.State("R1")
+	encoded := func() string {
+		t.Helper()
+		data, err := checkpoint.EncodeNode(r.TakeCheckpoint())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	baseline := encoded()
+
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := r.ResetTo(im, st); err != nil {
+			t.Fatalf("ResetTo: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("clean ResetTo allocated %.1f times per call, want 0", allocs)
+	}
+	if encoded() != baseline {
+		t.Errorf("clean reset changed the checkpoint")
+	}
+
+	attrs := &bgp.PathAttributes{Origin: bgp.OriginIGP, ASPath: []bgp.ASN{65002, 64999}, NextHop: 9}
+	clone.InjectUpdate("R2", "R1", &bgp.Update{Attrs: attrs, NLRI: []bgp.Prefix{bgp.MustParsePrefix("88.1.0.0/16")}})
+	clone.Net.RunQuiescent(0)
+	if encoded() == baseline {
+		t.Fatal("the delivered UPDATE did not change the checkpoint; test is vacuous")
+	}
+	if err := r.ResetTo(im, st); err != nil {
+		t.Fatalf("ResetTo: %v", err)
+	}
+	if encoded() != baseline {
+		t.Errorf("reset after HandleMessage differs from baseline")
+	}
+}
+
 // TestFRRRejectsForeignImageAndState pins the backend boundary: frr routers
 // refuse to reset onto bird-decoded snapshot halves.
 func TestFRRRejectsForeignImageAndState(t *testing.T) {

@@ -142,6 +142,15 @@ type Router struct {
 	panicked  bool
 	lastPanic string
 	started   bool
+
+	// applied is the id of the State the router was last rewound to; an
+	// id rather than the pointer, so a cold clone does not keep its
+	// privately decoded State alive. dirty records that the router's state
+	// may have changed since: Start, HandleMessage and HandleTimer set it,
+	// as does CheckInvariants when it changes the failure counter. ResetTo
+	// skips the rewind of a clean router asked for the State it holds.
+	applied uint64
+	dirty   bool
 }
 
 // Interface check: frr.Router is a full node.Router backend.
@@ -258,6 +267,7 @@ func (r *Router) Start(env netem.Env) {
 		return
 	}
 	r.started = true
+	r.dirty = true
 	for _, name := range r.order {
 		r.connect(env, r.peers[name])
 	}
@@ -277,6 +287,7 @@ func (r *Router) connect(env netem.Env, p *peer) {
 
 // HandleTimer implements netem.Node.
 func (r *Router) HandleTimer(env netem.Env, name string) {
+	r.dirty = true
 	if peerName, ok := strings.CutPrefix(name, "retry/"); ok {
 		if p := r.peers[peerName]; p != nil && !p.established() {
 			r.connect(env, p)
@@ -297,6 +308,7 @@ func (r *Router) HandleTimer(env netem.Env, name string) {
 // injected programming errors) are contained and recorded, mirroring a
 // daemon whose crash is flagged by its supervisor.
 func (r *Router) HandleMessage(env netem.Env, from netem.NodeID, payload []byte) {
+	r.dirty = true
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.panicked = true
@@ -641,6 +653,9 @@ func (r *Router) CheckInvariants() []string {
 			violations = append(violations, fmt.Sprintf("Adj-RIB-Out for down session %s is not empty", name))
 		}
 	}
-	r.stats.InvariantFailures = len(violations)
+	if n := len(violations); n != r.stats.InvariantFailures {
+		r.stats.InvariantFailures = n
+		r.dirty = true
+	}
 	return violations
 }

@@ -1035,11 +1035,7 @@ func (e *epochReplays) pooled(steps []TraceStep) map[string]bool {
 		return nil
 	}
 	defer e.pool.Release(shadow)
-	// Bound before returning: leasebalance reads a return that mentions
-	// the clone as an ownership transfer, which would hide a missing
-	// Release.
-	keys := e.rt.replayKeys(shadow, steps)
-	return keys
+	return e.rt.replayKeys(shadow, steps)
 }
 
 // coldSteady returns the epoch's cold empty-trace replay, running it on first
@@ -1086,6 +1082,7 @@ func (rt *Runtime) coldKeys(ep *checkpoint.Epoch, steps []TraceStep) map[string]
 	if err != nil {
 		return nil
 	}
+	defer shadow.Close()
 	return rt.replayKeys(shadow, steps)
 }
 

@@ -239,6 +239,37 @@ func (childKiller) Hook() node.UpdateHook {
 	}
 }
 
+// TestColdReverifyReapsProcChildren: a cold re-verification restores the
+// whole epoch, one subprocess per proc: node, and must kill those children
+// when it is done, so the count falls back to the deployment's own.
+func TestColdReverifyReapsProcChildren(t *testing.T) {
+	if err := procdriver.SpawnCheck(); err != nil {
+		t.Skipf("subprocess spawning unavailable: %v", err)
+	}
+	t.Cleanup(func() { procdriver.KillAll() })
+	topo := topology.Line(3).SetImpl("proc:bird", "R2", "R3")
+	victim := topo.Nodes[0].Prefixes[0]
+	opts := cluster.Options{Seed: 1, ConfigOverride: faults.ApplyConfigFaults(
+		faults.MisOrigination{Router: "R3", Prefix: victim})}
+	deployed := cluster.MustBuild(topo, opts)
+	deployed.Converge()
+	rt, err := NewRuntime(deployed, topo, Options{Seed: 1, ClusterOptions: opts, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := rt.Ring().Push(deployed.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := procdriver.LiveChildren()
+	if len(rt.coldKeys(ep, nil)) == 0 {
+		t.Fatal("cold replay found no violation; it did not run")
+	}
+	if got := procdriver.LiveChildren(); got != own {
+		t.Errorf("%d subprocesses alive after a cold re-verification, want the deployment's %d", got, own)
+	}
+}
+
 // TestReplayOnDeadCloneDoesNotReproduce: a replay whose out-of-process node
 // died mid-trace checks state a silently-dropping node made up, so pooled
 // and cold replays alike must report "did not reproduce". The finding keeps

@@ -134,7 +134,11 @@ type Router interface {
 	TakeCheckpoint() Checkpoint
 	// ResetTo returns the router to the snapshot described by (image, state)
 	// in place, overwriting every piece of mutable state. It fails when the
-	// image or state belongs to a different backend.
+	// image or state belongs to a different backend. The armed exploration
+	// and the update hook are always cleared. A router's state changes only
+	// through Start, HandleMessage and HandleTimer (and the failure count
+	// CheckInvariants records), so a router may skip rewinding state none
+	// of them has changed since it was last reset to that same State.
 	ResetTo(im Image, st State) error
 
 	// ExploreNextUpdate arms symbolic tracing: the next UPDATE received from

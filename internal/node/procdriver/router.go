@@ -475,6 +475,16 @@ func (p *proxy) Unhealthy() error {
 	return p.err
 }
 
+// Close kills the subprocess and waits until it is reaped, so LiveChildren
+// no longer counts it; the proxy is dead afterwards. Idempotent. The cluster
+// layer calls it when it drops a clone.
+func (p *proxy) Close() {
+	p.mu.Lock()
+	p.fail(fmt.Errorf("procdriver: %s: closed", p.name))
+	p.mu.Unlock()
+	<-p.child.waited
+}
+
 // Kill terminates r's subprocess out from under the proxy, simulating an
 // external crash: the proxy is NOT marked dead — the next interaction
 // discovers the EOF exactly as it would for a real crash. It reports whether

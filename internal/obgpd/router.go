@@ -180,6 +180,15 @@ type Router struct {
 	panicked  bool
 	lastPanic string
 	started   bool
+
+	// applied is the id of the State the router was last rewound to; an
+	// id rather than the pointer, so a cold clone does not keep its
+	// privately decoded State alive. dirty records that the router's state
+	// may have changed since: Start, HandleMessage and HandleTimer set it,
+	// as does CheckInvariants when it changes the failure counter. ResetTo
+	// skips the rewind of a clean router asked for the State it holds.
+	applied uint64
+	dirty   bool
 }
 
 // Interface check: obgpd.Router is a full node.Router backend.
@@ -296,6 +305,7 @@ func (r *Router) Start(env netem.Env) {
 		return
 	}
 	r.started = true
+	r.dirty = true
 	for _, name := range r.se.order {
 		r.sessionConnectTo(env, r.se.sessions[name])
 	}
@@ -316,6 +326,7 @@ func (r *Router) sessionConnectTo(env netem.Env, s *session) {
 
 // HandleTimer implements netem.Node.
 func (r *Router) HandleTimer(env netem.Env, name string) {
+	r.dirty = true
 	if neighbor, ok := strings.CutPrefix(name, "connretry/"); ok {
 		if s := r.se.sessions[neighbor]; s != nil && !s.up() {
 			r.sessionConnectTo(env, s)
@@ -336,6 +347,7 @@ func (r *Router) HandleTimer(env netem.Env, name string) {
 // from injected programming errors) are contained and recorded, mirroring
 // a daemon whose crash is flagged by its supervisor.
 func (r *Router) HandleMessage(env netem.Env, from netem.NodeID, payload []byte) {
+	r.dirty = true
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.panicked = true
@@ -706,6 +718,9 @@ func (r *Router) CheckInvariants() []string {
 			violations = append(violations, fmt.Sprintf("Adj-RIB-Out for down session %s is not empty", name))
 		}
 	}
-	r.stats.InvariantFailures = len(violations)
+	if n := len(violations); n != r.stats.InvariantFailures {
+		r.stats.InvariantFailures = n
+		r.dirty = true
+	}
 	return violations
 }
