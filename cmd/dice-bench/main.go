@@ -17,8 +17,8 @@
 // experiment: the same soak bare vs under the full dice-serve
 // instrumentation layer, with exposition latency/determinism and the
 // codec-persisted soak history. codec is the checkpoint-serialization
-// experiment: gob vs the deterministic binary codec on encode/decode/
-// measure/restore, plus the content-addressed ring's quiet-epoch retention.
+// experiment: the deterministic binary codec's encode/decode/measure/restore
+// costs, plus the content-addressed ring's quiet-epoch retention.
 // -json writes the selected experiment's machine-readable result (`-exp e9
 // -json BENCH_clone.json`, `-exp e10 -json BENCH_federation.json`, `-exp e12
 // -json BENCH_live.json`, `-exp e13 -json BENCH_distributed.json`, `-exp e14
@@ -52,7 +52,10 @@ import (
 // added; existing artifact schemas are unchanged.
 // v5: the e15 observability-overhead experiment (BENCH_serve.json) was
 // added; existing artifact schemas are unchanged.
-const benchSchemaVersion = 5
+// v6: the gob comparison leg is gone — e9 and codec drop their gob_* fields
+// and the speedup/ratio fields derived from them, and e13 drops the gob
+// baseline counterfactual.
+const benchSchemaVersion = 6
 
 // benchMeta is the self-describing header embedded in every BENCH_*.json
 // artifact.
@@ -106,16 +109,10 @@ type cloneBench struct {
 	MeanNodeBytes  int `json:"mean_node_bytes"`
 	MeanDeltaBytes int `json:"mean_delta_bytes"`
 
-	CodecIters         int     `json:"codec_iters"`
-	GobEncodeNs        int64   `json:"gob_encode_ns"`
-	CodecEncodeNs      int64   `json:"codec_encode_ns"`
-	CodecEncodeSpeedup float64 `json:"codec_encode_speedup"`
-	GobDecodeNs        int64   `json:"gob_decode_ns"`
-	CodecDecodeNs      int64   `json:"codec_decode_ns"`
-	CodecDecodeSpeedup float64 `json:"codec_decode_speedup"`
-	GobSnapshotBytes   int     `json:"gob_snapshot_bytes"`
-	CodecSnapshotBytes int     `json:"codec_snapshot_bytes"`
-	CodecSizeRatio     float64 `json:"codec_size_ratio"`
+	CodecIters         int   `json:"codec_iters"`
+	CodecEncodeNs      int64 `json:"codec_encode_ns"`
+	CodecDecodeNs      int64 `json:"codec_decode_ns"`
+	CodecSnapshotBytes int   `json:"codec_snapshot_bytes"`
 }
 
 // federationBench is the schema of the e10 -json artifact.
@@ -199,38 +196,21 @@ type distributedBench struct {
 	ResultBytesPerInput  int     `json:"result_bytes_per_input"`
 	FullStatePerInput    int     `json:"full_state_bytes_per_input"`
 	ReductionVsFullState float64 `json:"reduction_vs_full_state"`
-
-	GobBaselineSnapshotBytes   int     `json:"gob_baseline_snapshot_bytes"`
-	CodecBaselineSnapshotBytes int     `json:"codec_baseline_snapshot_bytes"`
-	BaselineReductionVsGob     float64 `json:"baseline_reduction_vs_gob"`
 }
 
 // codecBench is the schema of the codec -json artifact (BENCH_codec.json):
-// gob vs deterministic-codec encode/decode/measure/restore on the same
-// snapshot, plus the content-addressed ring's quiet-epoch retention.
+// deterministic-codec encode/decode/measure/restore on one snapshot, plus
+// the content-addressed ring's quiet-epoch retention.
 type codecBench struct {
 	benchMeta
 	Routers    int `json:"routers"`
 	Iterations int `json:"iterations"`
 
-	GobEncodeNs   int64   `json:"gob_encode_ns"`
-	CodecEncodeNs int64   `json:"codec_encode_ns"`
-	EncodeSpeedup float64 `json:"encode_speedup"`
-	GobDecodeNs   int64   `json:"gob_decode_ns"`
-	CodecDecodeNs int64   `json:"codec_decode_ns"`
-	DecodeSpeedup float64 `json:"decode_speedup"`
-
-	GobBytes   int     `json:"gob_bytes"`
-	CodecBytes int     `json:"codec_bytes"`
-	SizeRatio  float64 `json:"size_ratio"`
-
-	GobMeasureNs   int64   `json:"gob_measure_ns"`
-	CodecMeasureNs int64   `json:"codec_measure_ns"`
-	MeasureSpeedup float64 `json:"measure_speedup"`
-
-	GobRestoreNs   int64   `json:"gob_restore_ns"`
-	CodecRestoreNs int64   `json:"codec_restore_ns"`
-	RestoreSpeedup float64 `json:"restore_speedup"`
+	CodecEncodeNs  int64 `json:"codec_encode_ns"`
+	CodecDecodeNs  int64 `json:"codec_decode_ns"`
+	CodecBytes     int   `json:"codec_bytes"`
+	CodecMeasureNs int64 `json:"codec_measure_ns"`
+	CodecRestoreNs int64 `json:"codec_restore_ns"`
 
 	RingEpochs        int `json:"ring_epochs"`
 	RingCopiedBytes   int `json:"ring_copied_bytes"`
@@ -345,15 +325,9 @@ func writeCloneJSON(path string, cfg dice.ExperimentConfig, r *dice.E9Result) er
 		MeanNodeBytes:      r.MeanNodeBytes,
 		MeanDeltaBytes:     r.MeanDeltaBytes,
 		CodecIters:         r.CodecIters,
-		GobEncodeNs:        r.GobEncodePer.Nanoseconds(),
 		CodecEncodeNs:      r.CodecEncodePer.Nanoseconds(),
-		CodecEncodeSpeedup: r.CodecEncodeSpeedup,
-		GobDecodeNs:        r.GobDecodePer.Nanoseconds(),
 		CodecDecodeNs:      r.CodecDecodePer.Nanoseconds(),
-		CodecDecodeSpeedup: r.CodecDecodeSpeedup,
-		GobSnapshotBytes:   r.GobSnapshotBytes,
 		CodecSnapshotBytes: r.CodecSnapshotBytes,
-		CodecSizeRatio:     r.CodecSizeRatio,
 	})
 }
 
@@ -362,21 +336,11 @@ func writeCodecJSON(path string, cfg dice.ExperimentConfig, r *dice.ECodecResult
 		benchMeta:         newBenchMeta("codec", cfg),
 		Routers:           r.Routers,
 		Iterations:        r.Iterations,
-		GobEncodeNs:       r.GobEncodePer.Nanoseconds(),
 		CodecEncodeNs:     r.CodecEncodePer.Nanoseconds(),
-		EncodeSpeedup:     r.EncodeSpeedup,
-		GobDecodeNs:       r.GobDecodePer.Nanoseconds(),
 		CodecDecodeNs:     r.CodecDecodePer.Nanoseconds(),
-		DecodeSpeedup:     r.DecodeSpeedup,
-		GobBytes:          r.GobBytes,
 		CodecBytes:        r.CodecBytes,
-		SizeRatio:         r.SizeRatio,
-		GobMeasureNs:      r.GobMeasurePer.Nanoseconds(),
 		CodecMeasureNs:    r.CodecMeasurePer.Nanoseconds(),
-		MeasureSpeedup:    r.MeasureSpeedup,
-		GobRestoreNs:      r.GobRestorePer.Nanoseconds(),
 		CodecRestoreNs:    r.CodecRestorePer.Nanoseconds(),
-		RestoreSpeedup:    r.RestoreSpeedup,
 		RingEpochs:        r.RingEpochs,
 		RingCopiedBytes:   r.RingCopiedBytes,
 		RingRetainedBytes: r.RingRetainedBytes,
@@ -461,10 +425,6 @@ func writeDistributedJSON(path string, cfg dice.ExperimentConfig, r *dice.E13Res
 		ResultBytesPerInput:       r.ResultBytesPerInput,
 		FullStatePerInput:         r.FullStatePerInput,
 		ReductionVsFullState:      r.ReductionVsFullState,
-
-		GobBaselineSnapshotBytes:   r.GobBaselineSnapshotBytes,
-		CodecBaselineSnapshotBytes: r.CodecBaselineSnapshotBytes,
-		BaselineReductionVsGob:     r.BaselineReductionVsGob,
 	})
 }
 

@@ -18,7 +18,7 @@
 //     executes concolic + grammar-fuzzed exploration of cloned snapshots in
 //     parallel, detections stream out as events, and property checking goes
 //     through a narrow information-sharing interface (package
-//     internal/checker). The legacy Engine remains as a one-round shim.
+//     internal/checker).
 //
 // The experiment harness (experiments.go) regenerates every evaluation
 // artifact described in the paper; see EXPERIMENTS.md for the mapping.
@@ -271,23 +271,11 @@ var (
 	WithClonePrelude = dice.WithClonePrelude
 )
 
-// Engine drives DiCE exploration rounds against a deployment. It is the
-// legacy single-round API, now a thin shim over a single-unit Campaign.
-type Engine = dice.Engine
-
-// EngineOptions configure an exploration round.
-type EngineOptions = dice.Options
-
-// Result is the outcome of one exploration unit (or one legacy round).
+// Result is the outcome of one exploration unit.
 type Result = dice.Result
 
 // Detection is one detected fault.
 type Detection = dice.Detection
-
-// NewEngine returns an exploration engine for a deployed cluster.
-func NewEngine(live *Deployment, topo *Topology, opts EngineOptions) *Engine {
-	return dice.New(live, topo, opts)
-}
 
 // Fault classes (the paper's three, plus the divergence class heterogeneous
 // deployments add).

@@ -24,24 +24,6 @@ func TestFacadeDeployAndCheck(t *testing.T) {
 	}
 }
 
-func TestFacadeEngineDetectsHijack(t *testing.T) {
-	topo := Line(3)
-	victim := topo.Nodes[0].Prefixes[0]
-	opts := DeployOptions{Seed: 1, ConfigOverride: ApplyConfigFaults(MisOrigination{Router: "R3", Prefix: victim})}
-	d, err := Deploy(topo, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Converge()
-	res, err := NewEngine(d, topo, EngineOptions{Explorer: "R2", MaxInputs: 4, FuzzSeeds: 2, UseConcolic: true, Seed: 1, ClusterOptions: opts}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Detected(OperatorMistake) {
-		t.Fatalf("hijack not detected through the public API")
-	}
-}
-
 func TestFacadeCampaignStreamsDetections(t *testing.T) {
 	topo := Line(3)
 	victim := topo.Nodes[0].Prefixes[0]

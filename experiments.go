@@ -854,19 +854,11 @@ type E9Result struct {
 	MeanDeltaBytes int
 
 	// Serialization hot path: the campaign snapshot encoded and decoded
-	// with the legacy gob codec vs the deterministic binary codec, over
-	// CodecIters iterations each (schema v3 additions).
+	// with the deterministic binary codec, over CodecIters iterations each.
 	CodecIters         int
-	GobEncodePer       time.Duration
 	CodecEncodePer     time.Duration
-	CodecEncodeSpeedup float64
-	GobDecodePer       time.Duration
 	CodecDecodePer     time.Duration
-	CodecDecodeSpeedup float64
-	GobSnapshotBytes   int
 	CodecSnapshotBytes int
-	// CodecSizeRatio is gob bytes over codec bytes (>1 means smaller).
-	CodecSizeRatio float64
 }
 
 // exploreOnce drives one explored input through a leased clone, as a
@@ -996,68 +988,40 @@ func RunE9(cfg ExperimentConfig) (*E9Result, error) {
 	out.MeanNodeBytes = totalFull / len(topo.Nodes)
 	out.MeanDeltaBytes = totalDelta / len(topo.Nodes)
 
-	// 4. Serialization hot path: the same snapshot through the legacy gob
-	// encoder and the deterministic binary codec. Every per-clone restore,
-	// baseline shipment and ring push sits on this path.
+	// 4. Serialization hot path: every per-clone restore, baseline shipment
+	// and ring push sits on the snapshot codec.
 	out.CodecIters = cfg.inputs(64, 16)
-	gobEnc, codecEnc, err := benchSnapshotCodec(snap, out.CodecIters,
-		&out.GobEncodePer, &out.CodecEncodePer, &out.GobDecodePer, &out.CodecDecodePer)
+	enc, err := benchSnapshotCodec(snap, out.CodecIters, &out.CodecEncodePer, &out.CodecDecodePer)
 	if err != nil {
 		return nil, err
 	}
-	out.GobSnapshotBytes, out.CodecSnapshotBytes = len(gobEnc), len(codecEnc)
-	if out.CodecEncodePer > 0 {
-		out.CodecEncodeSpeedup = float64(out.GobEncodePer) / float64(out.CodecEncodePer)
-	}
-	if out.CodecDecodePer > 0 {
-		out.CodecDecodeSpeedup = float64(out.GobDecodePer) / float64(out.CodecDecodePer)
-	}
-	if out.CodecSnapshotBytes > 0 {
-		out.CodecSizeRatio = float64(out.GobSnapshotBytes) / float64(out.CodecSnapshotBytes)
-	}
+	out.CodecSnapshotBytes = len(enc)
 	return out, nil
 }
 
-// benchSnapshotCodec times iters gob and codec encodes and decodes of snap,
-// storing per-op durations through the out pointers and returning one
-// encoding of each form for size accounting.
-func benchSnapshotCodec(snap *checkpoint.Snapshot, iters int,
-	gobEncPer, codecEncPer, gobDecPer, codecDecPer *time.Duration) (gobEnc, codecEnc []byte, err error) {
+// benchSnapshotCodec times iters codec encodes and decodes of snap, storing
+// per-op durations through the out pointers and returning one encoding for
+// size accounting.
+func benchSnapshotCodec(snap *checkpoint.Snapshot, iters int, encPer, decPer *time.Duration) (enc []byte, err error) {
 	if iters <= 0 {
 		iters = 1
 	}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		if gobEnc, err = checkpoint.EncodeGob(snap); err != nil {
-			return nil, nil, err
+		if enc, err = checkpoint.Encode(snap); err != nil {
+			return nil, err
 		}
 	}
-	*gobEncPer = time.Since(start) / time.Duration(iters)
+	*encPer = time.Since(start) / time.Duration(iters)
 
 	start = time.Now()
 	for i := 0; i < iters; i++ {
-		if codecEnc, err = checkpoint.Encode(snap); err != nil {
-			return nil, nil, err
+		if _, err = checkpoint.Decode(enc); err != nil {
+			return nil, err
 		}
 	}
-	*codecEncPer = time.Since(start) / time.Duration(iters)
-
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err = checkpoint.Decode(gobEnc); err != nil {
-			return nil, nil, err
-		}
-	}
-	*gobDecPer = time.Since(start) / time.Duration(iters)
-
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err = checkpoint.Decode(codecEnc); err != nil {
-			return nil, nil, err
-		}
-	}
-	*codecDecPer = time.Since(start) / time.Duration(iters)
-	return gobEnc, codecEnc, nil
+	*decPer = time.Since(start) / time.Duration(iters)
+	return enc, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1593,12 +1557,8 @@ func (r *E9Result) String() string {
 	fmt.Fprintf(&b, "  detections                %d (identical cold vs pooled: %v)\n", r.Detections, r.SameDetections)
 	fmt.Fprintf(&b, "  delta accounting          %d bytes/node full, %d bytes/node delta vs baseline\n",
 		r.MeanNodeBytes, r.MeanDeltaBytes)
-	fmt.Fprintf(&b, "  snapshot encode (n=%d)    gob %v, codec %v (%.1fx faster)\n",
-		r.CodecIters, r.GobEncodePer.Round(time.Microsecond), r.CodecEncodePer.Round(time.Microsecond), r.CodecEncodeSpeedup)
-	fmt.Fprintf(&b, "  snapshot decode           gob %v, codec %v (%.1fx faster)\n",
-		r.GobDecodePer.Round(time.Microsecond), r.CodecDecodePer.Round(time.Microsecond), r.CodecDecodeSpeedup)
-	fmt.Fprintf(&b, "  snapshot size             gob %d B, codec %d B (%.1fx smaller)\n",
-		r.GobSnapshotBytes, r.CodecSnapshotBytes, r.CodecSizeRatio)
+	fmt.Fprintf(&b, "  snapshot codec (n=%d)     encode %v, decode %v, %d B\n",
+		r.CodecIters, r.CodecEncodePer.Round(time.Microsecond), r.CodecDecodePer.Round(time.Microsecond), r.CodecSnapshotBytes)
 	return b.String()
 }
 
@@ -1645,14 +1605,6 @@ type E13Result struct {
 	ResultBytesPerInput  int
 	FullStatePerInput    int
 	ReductionVsFullState float64
-
-	// Counterfactual wire accounting (schema v3): the baseline snapshot's
-	// size under the legacy gob encoding vs the codec encoding that actually
-	// ships, and their ratio. The baseline dominates an agent's one-time
-	// cost, so this is the codec's direct effect on the wire.
-	GobBaselineSnapshotBytes   int
-	CodecBaselineSnapshotBytes int
-	BaselineReductionVsGob     float64
 }
 
 // RunE13 measures distributed execution on the 27-router hijack scenario.
@@ -1776,27 +1728,6 @@ func RunE13(cfg ExperimentConfig) (*E13Result, error) {
 		out.ReductionVsFullState = float64(out.FullStatePerInput) / perInput
 	}
 
-	// Counterfactual: what the one-time baseline would have weighed under
-	// the legacy gob encoding. The deploy is deterministic, so this snapshot
-	// is byte-equivalent to the one the controller shipped.
-	counterfactual, err := deploy()
-	if err != nil {
-		return nil, err
-	}
-	baseSnap := counterfactual.Snapshot()
-	gobBaseline, err := checkpoint.EncodeGob(baseSnap)
-	if err != nil {
-		return nil, err
-	}
-	codecBaseline, err := checkpoint.Encode(baseSnap)
-	if err != nil {
-		return nil, err
-	}
-	out.GobBaselineSnapshotBytes = len(gobBaseline)
-	out.CodecBaselineSnapshotBytes = len(codecBaseline)
-	if len(codecBaseline) > 0 {
-		out.BaselineReductionVsGob = float64(len(gobBaseline)) / float64(len(codecBaseline))
-	}
 	return out, nil
 }
 
@@ -1816,52 +1747,35 @@ func (r *E13Result) String() string {
 		r.BaselineBytes, r.ShardBytes, r.ResultBytes)
 	fmt.Fprintf(&b, "  privacy boundary          %d result B/input vs %d full-state B/input (%.1fx smaller)\n",
 		r.ResultBytesPerInput, r.FullStatePerInput, r.ReductionVsFullState)
-	fmt.Fprintf(&b, "  baseline encoding         codec %d B vs gob counterfactual %d B (%.1fx smaller)\n",
-		r.CodecBaselineSnapshotBytes, r.GobBaselineSnapshotBytes, r.BaselineReductionVsGob)
 	return b.String()
 }
 
 // ---------------------------------------------------------------------------
-// ECodec — checkpoint serialization: the legacy gob encoding vs the
-// deterministic binary codec, on the paths that matter — whole-snapshot
-// encode/decode, size accounting (Measure), per-clone restore from an encoded
-// artifact, and the content-addressed ring's retention. This is the
-// regression gate for the serialization hot path; CI publishes it as
-// BENCH_codec.json.
+// ECodec — checkpoint serialization through the deterministic binary codec,
+// on the paths that matter — whole-snapshot encode/decode, size accounting
+// (Measure), per-clone restore from an encoded artifact, and the
+// content-addressed ring's retention. CI publishes it as BENCH_codec.json.
 // ---------------------------------------------------------------------------
 
-// ECodecResult compares the two checkpoint encodings.
+// ECodecResult reports the checkpoint codec's hot-path costs.
 type ECodecResult struct {
 	Routers    int
 	Iterations int
 
-	// Whole-snapshot encode/decode, per operation.
-	GobEncodePer   time.Duration
+	// Whole-snapshot encode/decode, per operation, and the encoded
+	// footprint of the same snapshot.
 	CodecEncodePer time.Duration
-	EncodeSpeedup  float64
-	GobDecodePer   time.Duration
 	CodecDecodePer time.Duration
-	DecodeSpeedup  float64
+	CodecBytes     int
 
-	// Encoded footprint of the same snapshot.
-	GobBytes   int
-	CodecBytes int
-	// SizeRatio is gob over codec (>1 means the codec is smaller).
-	SizeRatio float64
-
-	// Size accounting: MeasureGob re-encodes every node into a counting
-	// writer; the codec Measure encodes nodes once and computes the envelope
+	// Size accounting: Measure encodes nodes once and computes the envelope
 	// arithmetically.
-	GobMeasurePer   time.Duration
 	CodecMeasurePer time.Duration
-	MeasureSpeedup  float64
 
 	// Restore-from-artifact, per clone: decode the encoded snapshot, build
 	// the store, restore every router — the cold path an agent pays per
 	// fetched baseline and a debugger pays per loaded artifact.
-	GobRestorePer   time.Duration
 	CodecRestorePer time.Duration
-	RestoreSpeedup  float64
 
 	// Content-addressed ring retention over quiet epochs: epochs pushed,
 	// bytes a per-epoch copy would retain, bytes actually retained, and the
@@ -1890,76 +1804,40 @@ func RunECodec(cfg ExperimentConfig) (*ECodecResult, error) {
 		Iterations: cfg.inputs(64, 16),
 	}
 
-	gobEnc, codecEnc, err := benchSnapshotCodec(snap, out.Iterations,
-		&out.GobEncodePer, &out.CodecEncodePer, &out.GobDecodePer, &out.CodecDecodePer)
+	codecEnc, err := benchSnapshotCodec(snap, out.Iterations, &out.CodecEncodePer, &out.CodecDecodePer)
 	if err != nil {
 		return nil, err
 	}
-	out.GobBytes, out.CodecBytes = len(gobEnc), len(codecEnc)
-	if out.CodecEncodePer > 0 {
-		out.EncodeSpeedup = float64(out.GobEncodePer) / float64(out.CodecEncodePer)
-	}
-	if out.CodecDecodePer > 0 {
-		out.DecodeSpeedup = float64(out.GobDecodePer) / float64(out.CodecDecodePer)
-	}
-	if out.CodecBytes > 0 {
-		out.SizeRatio = float64(out.GobBytes) / float64(out.CodecBytes)
-	}
+	out.CodecBytes = len(codecEnc)
 
 	// Size accounting.
 	start := time.Now()
-	for i := 0; i < out.Iterations; i++ {
-		if _, err := checkpoint.MeasureGob(snap); err != nil {
-			return nil, err
-		}
-	}
-	out.GobMeasurePer = time.Since(start) / time.Duration(out.Iterations)
-	start = time.Now()
 	for i := 0; i < out.Iterations; i++ {
 		if _, err := checkpoint.Measure(snap); err != nil {
 			return nil, err
 		}
 	}
 	out.CodecMeasurePer = time.Since(start) / time.Duration(out.Iterations)
-	if out.CodecMeasurePer > 0 {
-		out.MeasureSpeedup = float64(out.GobMeasurePer) / float64(out.CodecMeasurePer)
-	}
 
 	// Restore-from-artifact: decode, store, restore every router.
-	restoreAll := func(artifact []byte) error {
-		decoded, err := checkpoint.Decode(artifact)
-		if err != nil {
-			return err
-		}
-		store, err := checkpoint.NewStore(decoded)
-		if err != nil {
-			return err
-		}
-		for _, name := range store.NodeNames() {
-			if _, err := store.Restore(name); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	restoreIters := cfg.inputs(16, 4)
 	start = time.Now()
 	for i := 0; i < restoreIters; i++ {
-		if err := restoreAll(gobEnc); err != nil {
+		decoded, err := checkpoint.Decode(codecEnc)
+		if err != nil {
 			return nil, err
 		}
-	}
-	out.GobRestorePer = time.Since(start) / time.Duration(restoreIters)
-	start = time.Now()
-	for i := 0; i < restoreIters; i++ {
-		if err := restoreAll(codecEnc); err != nil {
+		store, err := checkpoint.NewStore(decoded)
+		if err != nil {
 			return nil, err
+		}
+		for _, name := range store.NodeNames() {
+			if _, err := store.Restore(name); err != nil {
+				return nil, err
+			}
 		}
 	}
 	out.CodecRestorePer = time.Since(start) / time.Duration(restoreIters)
-	if out.CodecRestorePer > 0 {
-		out.RestoreSpeedup = float64(out.GobRestorePer) / float64(out.CodecRestorePer)
-	}
 
 	// Content-addressed retention: push the same quiet snapshot repeatedly.
 	out.RingEpochs = cfg.inputs(8, 4)
@@ -1979,21 +1857,16 @@ func RunECodec(cfg ExperimentConfig) (*ECodecResult, error) {
 	return out, nil
 }
 
-// String renders the codec comparison report.
+// String renders the codec report.
 func (r *ECodecResult) String() string {
 	var b strings.Builder
-	b.WriteString("ECodec (checkpoint serialization: gob vs deterministic codec):\n")
+	b.WriteString("ECodec (checkpoint serialization: deterministic codec):\n")
 	fmt.Fprintf(&b, "  topology                  %d routers, %d iterations\n", r.Routers, r.Iterations)
-	fmt.Fprintf(&b, "  snapshot encode           gob %v, codec %v (%.1fx faster)\n",
-		r.GobEncodePer.Round(time.Microsecond), r.CodecEncodePer.Round(time.Microsecond), r.EncodeSpeedup)
-	fmt.Fprintf(&b, "  snapshot decode           gob %v, codec %v (%.1fx faster)\n",
-		r.GobDecodePer.Round(time.Microsecond), r.CodecDecodePer.Round(time.Microsecond), r.DecodeSpeedup)
-	fmt.Fprintf(&b, "  snapshot size             gob %d B, codec %d B (%.1fx smaller)\n",
-		r.GobBytes, r.CodecBytes, r.SizeRatio)
-	fmt.Fprintf(&b, "  size accounting (Measure) gob %v, codec %v (%.1fx faster)\n",
-		r.GobMeasurePer.Round(time.Microsecond), r.CodecMeasurePer.Round(time.Microsecond), r.MeasureSpeedup)
-	fmt.Fprintf(&b, "  restore from artifact     gob %v, codec %v (%.1fx faster)\n",
-		r.GobRestorePer.Round(time.Microsecond), r.CodecRestorePer.Round(time.Microsecond), r.RestoreSpeedup)
+	fmt.Fprintf(&b, "  snapshot encode           %v\n", r.CodecEncodePer.Round(time.Microsecond))
+	fmt.Fprintf(&b, "  snapshot decode           %v\n", r.CodecDecodePer.Round(time.Microsecond))
+	fmt.Fprintf(&b, "  snapshot size             %d B\n", r.CodecBytes)
+	fmt.Fprintf(&b, "  size accounting (Measure) %v\n", r.CodecMeasurePer.Round(time.Microsecond))
+	fmt.Fprintf(&b, "  restore from artifact     %v\n", r.CodecRestorePer.Round(time.Microsecond))
 	fmt.Fprintf(&b, "  quiet ring (%d epochs)     %d B if copied, %d B retained; last delta %d B, %d nodes changed\n",
 		r.RingEpochs, r.RingCopiedBytes, r.RingRetainedBytes, r.QuietEpochDeltaB, r.QuietEpochChanged)
 	return b.String()

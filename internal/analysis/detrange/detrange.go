@@ -13,8 +13,9 @@
 //     checkpoint encoder);
 //   - Write/Sum-shaped methods on hash.Hash implementations (hash/*,
 //     crypto/* packages) — fingerprints must be byte-stable;
-//   - (*encoding/gob.Encoder).Encode and EncodeValue — the legacy wire
-//     format;
+//   - (*encoding/gob.Encoder).Encode and EncodeValue — the repository no
+//     longer encodes with gob, but the rule keeps it from coming back
+//     unnoticed;
 //   - fmt.Fprint* whose first argument is one of the above;
 //   - any module function that itself (transitively) writes to one of the
 //     above — propagated as a cross-package fact, so a helper that wraps
@@ -22,8 +23,7 @@
 //
 // A second rule flags gob-encoding a plain map value directly: gob writes
 // map entries in iteration order, so a map without a canonical GobEncode
-// (node.PeerRouteMap-style sorted encoding) produces unstable bytes even
-// without an explicit range.
+// produces unstable bytes even without an explicit range.
 //
 // The fix is the standard one: collect the keys, sort them, and iterate the
 // sorted slice — or give the map type a canonical encoder. Intentional
@@ -137,10 +137,10 @@ func checkGobMapArg(pass *analysis.Pass, call *ast.CallExpr) {
 			continue
 		}
 		if analysis.HasMethod(t, "GobEncode") {
-			continue // PeerRouteMap-style canonical encoding
+			continue // a canonical (sorted) GobEncode
 		}
 		pass.Reportf(arg.Pos(),
-			"gob-encoding plain map %s: entry order is randomized, so encodings of equal maps differ — use a type with a sorted GobEncode (see node.PeerRouteMap)",
+			"gob-encoding plain map %s: entry order is randomized, so encodings of equal maps differ — encode it with the deterministic codec, which writes maps in sorted key order (see codec.PutPeerRouteMap, codec.PutBlobMap)",
 			types.TypeString(t, nil))
 	}
 }

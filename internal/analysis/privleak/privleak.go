@@ -160,9 +160,9 @@ func walkBoundary(pass *analysis.Pass, root *types.TypeName) {
 			if tt.Empty() {
 				report(path, "is declared any/interface{}, which defeats static privacy checking")
 			}
-			// Non-empty interfaces carry no state across gob without a
-			// concrete type registration; the empty-interface rule catches
-			// the generic escape hatch.
+			// Non-empty interfaces cross the wire only through an explicit
+			// codec encoder for their concrete forms; the empty-interface
+			// rule catches the generic escape hatch.
 		case *types.Chan, *types.Signature:
 			report(path, "is a channel or func, which cannot cross a process boundary")
 		}

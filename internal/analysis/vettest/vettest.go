@@ -20,6 +20,8 @@ package vettest
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -38,7 +40,7 @@ func Run(t *testing.T, analyzers []*analysis.Analyzer, dirs ...string) {
 	t.Helper()
 	root := moduleRoot(t)
 	l := analysis.NewLoader(root)
-	if err := l.Warm("./..."); err != nil {
+	if err := l.Warm(append([]string{"./..."}, fixtureImports(t, dirs)...)...); err != nil {
 		t.Fatalf("warming export data: %v", err)
 	}
 	var units []*analysis.Unit
@@ -90,6 +92,40 @@ func claim(ws []*want, msg string) bool {
 		}
 	}
 	return false
+}
+
+// fixtureImports returns the packages the fixture dirs import from outside
+// the synthetic fixture tree. A fixture may import a package nothing in the
+// module itself depends on (the gob fixture of detrange does), so those are
+// warmed explicitly.
+func fixtureImports(t *testing.T, dirs []string) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	seen := make(map[string]bool)
+	var out []string
+	for _, dir := range dirs {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range files {
+			f, err := parser.ParseFile(fset, name, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !seen[path] && !strings.HasPrefix(path, analysis.ModulePath+"/fixture/") {
+					seen[path] = true
+					out = append(out, path)
+				}
+			}
+		}
+	}
+	return out
 }
 
 // collectWants scans the fixture dir's Go files for want comments.

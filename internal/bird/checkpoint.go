@@ -20,7 +20,7 @@ type (
 
 // Checkpoint is a lightweight checkpoint of one router: its configuration,
 // session states, RIB contents and counters. It contains only plain data and
-// can be serialized (the checkpoint package wraps it with gob), cloned, and
+// can be serialized (the backend's canonical codec payload), cloned, and
 // restored into a fresh Router that behaves identically from that state
 // onward — which is exactly what DiCE's exploration needs. The configuration
 // travels in bird's dialect: the BIRD-filter policy syntax of PoliciesText.

@@ -1,8 +1,6 @@
 package bird
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -18,10 +16,9 @@ import (
 const Implementation = "bird"
 
 // init registers the backend so implementation-neutral code (cluster builds,
-// snapshot stores) can construct and restore bird routers by tag, and makes
-// bird checkpoints gob-encodable inside mixed-implementation snapshots.
+// snapshot stores) can construct, restore and canonically encode bird
+// routers by tag.
 func init() {
-	gob.Register(&Checkpoint{})
 	node.Register(node.Backend{
 		Name:     Implementation,
 		Decision: rib.DecisionRouterIDFirst,
@@ -52,13 +49,6 @@ func init() {
 				return nil, fmt.Errorf("bird: restore %s: state is %T, not a bird state", im.Name(), st)
 			}
 			return bim.Restore(bst)
-		},
-		DecodeCheckpoint: func(data []byte) (node.Checkpoint, error) {
-			var cp Checkpoint
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cp); err != nil {
-				return nil, fmt.Errorf("bird: decode checkpoint: %w", err)
-			}
-			return &cp, nil
 		},
 		EncodeCanonical: func(cp node.Checkpoint) ([]byte, error) {
 			bcp, ok := cp.(*Checkpoint)

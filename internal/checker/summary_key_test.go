@@ -1,8 +1,6 @@
 package checker
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"github.com/dice-project/dice/internal/bgp"
@@ -24,25 +22,6 @@ func testSummary() Summary {
 			{Node: "R3", Prefix: p1, NextHop: "R1"},
 			{Node: "R1", Prefix: p2, NextHop: ""},
 		},
-	}
-}
-
-// TestSummaryKeyCrossProcessParity is the satellite's headline assertion:
-// encoding a summary, shipping it across a process boundary, and decoding it
-// must not change its key, or campaign-wide dedupe would double-count
-// detections that arrived over the distributed-execution wire.
-func TestSummaryKeyCrossProcessParity(t *testing.T) {
-	s := testSummary()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var got Summary
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&got); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.Key() != s.Key() {
-		t.Fatalf("key changed across encode/decode:\n before %q\n after  %q", s.Key(), got.Key())
 	}
 }
 

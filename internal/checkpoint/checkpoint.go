@@ -13,76 +13,19 @@
 // backend's registered canonical encoder. Identical state always encodes to
 // identical bytes, which is what makes the content-addressed store (SHA-256
 // of the canonical node encoding), the ring's byte-level delta accounting
-// and the distributed snapshot patches sound. Artifacts written by earlier
-// releases used encoding/gob; Decode and DecodeNode detect the missing codec
-// header and fall back to the gob decoder, so old artifacts still load. The
-// gob encoders survive as the benchmark baseline (EncodeGob, MeasureGob) and
-// as the fallback for backends that register no canonical codec.
+// and the distributed snapshot patches sound. The codec is the only
+// serialization: bytes without its header are a decode error.
 package checkpoint
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/dice-project/dice/internal/checkpoint/codec"
 	"github.com/dice-project/dice/internal/netem"
 	"github.com/dice-project/dice/internal/node"
 )
-
-// bufPool recycles the scratch buffers gob encoding writes into (the legacy
-// paths still materialize encodings).
-var bufPool = sync.Pool{
-	New: func() interface{} { return new(bytes.Buffer) },
-}
-
-// encodeInto gob-encodes v into a pooled buffer and returns a copy of the
-// bytes (the buffer goes back to the pool).
-func encodeInto(v interface{}) ([]byte, error) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer func() {
-		buf.Reset()
-		bufPool.Put(buf)
-	}()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), buf.Bytes()...), nil
-}
-
-// countingWriter counts bytes written without retaining them.
-type countingWriter int
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	*c += countingWriter(len(p))
-	return len(p), nil
-}
-
-// encodedLen gob-encodes v into a counting writer and returns only the
-// encoded length: size accounting runs per node per snapshot, and streaming
-// into a counter never materializes (or grows) an encoding just to read its
-// length.
-func encodedLen(v interface{}) (int, error) {
-	var cw countingWriter
-	if err := gob.NewEncoder(&cw).Encode(v); err != nil {
-		return 0, err
-	}
-	return int(cw), nil
-}
-
-// gobDecode decodes data into out, converting a decoder panic (gob decodes
-// attacker-controllable bytes on the legacy fallback path) into an error.
-func gobDecode(data []byte, out interface{}) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("gob decode panicked: %v", rec)
-		}
-	}()
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(out)
-}
 
 // Snapshot is a consistent cut of the emulated system.
 type Snapshot struct {
@@ -91,9 +34,8 @@ type Snapshot struct {
 	// Nodes maps router names to their checkpoints. Checkpoints are opaque
 	// backend values; each names the implementation that can restore it, so
 	// one snapshot may mix implementations. Backends register canonical
-	// codec encoders (and gob-register their concrete types for the legacy
-	// fallback), which is what lets the interface-typed map cross process
-	// boundaries.
+	// codec encoders, which is what lets the interface-typed map cross
+	// process boundaries.
 	Nodes map[string]node.Checkpoint
 	// InFlight is the channel state: messages sent but not yet delivered at
 	// the cut.
@@ -162,28 +104,8 @@ func Encode(s *Snapshot) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// EncodeGob serializes the snapshot with encoding/gob — the legacy format.
-// It exists as the measured baseline the codec is compared against and to
-// exercise the compatibility fallback; new artifacts use Encode.
-func EncodeGob(s *Snapshot) ([]byte, error) {
-	data, err := encodeInto(s)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: gob encode: %w", err)
-	}
-	return data, nil
-}
-
-// Decode deserializes a snapshot produced by Encode. Data without the codec
-// header is routed to the legacy gob decoder, so artifacts written before
-// the codec existed still load.
+// Decode deserializes a snapshot produced by Encode.
 func Decode(data []byte) (*Snapshot, error) {
-	if !codec.IsEncoded(data) {
-		var s Snapshot
-		if err := gobDecode(data, &s); err != nil {
-			return nil, fmt.Errorf("checkpoint: decode (legacy gob): %w", err)
-		}
-		return &s, nil
-	}
 	r := codec.NewReader(data)
 	r.Header(codec.KindSnapshot)
 	s := &Snapshot{
@@ -217,15 +139,11 @@ func Decode(data []byte) (*Snapshot, error) {
 // EncodeNode serializes a single node checkpoint in its canonical form: the
 // codec header, the implementation tag, and the backend's canonical payload.
 // This is the content-addressed unit — Store hashes, ring deltas and shipped
-// node patches are all computed over exactly these bytes. Backends that
-// register no canonical encoder fall back to the legacy gob form.
+// node patches are all computed over exactly these bytes.
 func EncodeNode(cp node.Checkpoint) ([]byte, error) {
 	be, err := node.BackendFor(cp.Implementation())
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: encode node %s: %w", cp.NodeName(), err)
-	}
-	if be.EncodeCanonical == nil {
-		return EncodeNodeGob(cp)
 	}
 	payload, err := be.EncodeCanonical(cp)
 	if err != nil {
@@ -238,16 +156,11 @@ func EncodeNode(cp node.Checkpoint) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// EncodeNodeGob serializes a single node checkpoint with encoding/gob (the
-// legacy concrete-typed form) — the benchmark baseline and the fallback for
-// backends without a canonical codec.
-func EncodeNodeGob(cp node.Checkpoint) ([]byte, error) {
-	data, err := encodeInto(cp)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: gob encode node %s: %w", cp.NodeName(), err)
-	}
-	return data, nil
-}
+// queuedMessageFields pins the netem.QueuedMessage field set putInFlight
+// and inFlight serialize.
+//
+//dice:fieldpin netem.QueuedMessage
+const queuedMessageFields = 4
 
 // putInFlight writes the in-flight message list.
 func putInFlight(w *codec.Writer, msgs []netem.QueuedMessage) {
@@ -350,34 +263,4 @@ func MeasureNodes(s *Snapshot) (map[string]int, error) {
 		perNode[name] = len(enc)
 	}
 	return perNode, nil
-}
-
-// gobChannelEnvelope is the non-node remainder of a snapshot under the
-// legacy gob accounting.
-type gobChannelEnvelope struct {
-	At         time.Duration
-	InFlight   []netem.QueuedMessage
-	Consistent bool
-}
-
-// MeasureGob reports the snapshot's footprint under the legacy gob encoding
-// (per-node gob encodings plus a gob channel-state envelope) — the measured
-// baseline the codec's Measure is benchmarked against.
-func MeasureGob(s *Snapshot) (Sizes, error) {
-	out := Sizes{PerNodeBytes: make(map[string]int, len(s.Nodes)), Messages: len(s.InFlight)}
-	env, err := encodedLen(gobChannelEnvelope{At: s.At, InFlight: s.InFlight, Consistent: s.Consistent})
-	if err != nil {
-		return Sizes{}, fmt.Errorf("checkpoint: gob encode channel state: %w", err)
-	}
-	out.TotalBytes = env
-	//dice:allow detrange per-node gob lengths are summed and keyed by name; addition commutes, no bytes concatenate
-	for name, cp := range s.Nodes {
-		n, err := encodedLen(cp)
-		if err != nil {
-			return Sizes{}, fmt.Errorf("checkpoint: gob encode node %s: %w", cp.NodeName(), err)
-		}
-		out.PerNodeBytes[name] = n
-		out.TotalBytes += n
-	}
-	return out, nil
 }

@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/gob"
 	"testing"
 	"time"
 
@@ -71,46 +73,32 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not a gob stream")); err == nil {
+	if _, err := Decode([]byte("not a codec artifact")); err == nil {
 		t.Errorf("garbage must not decode")
 	}
 }
 
-// TestDecodeLegacyGob pins the compatibility fallback: artifacts written with
-// the pre-codec gob encoder (no codec header) must still load through Decode,
-// and gob-encoded single nodes through DecodeNode.
+// TestDecodeLegacyGob pins the end of the gob era: bytes from the pre-codec
+// gob encoder carry no codec header, so Decode and DecodeNode reject them
+// as a decode error, with or without an implementation tag.
 func TestDecodeLegacyGob(t *testing.T) {
 	s := sampleSnapshot(t)
-	data, err := EncodeGob(s)
-	if err != nil {
-		t.Fatalf("EncodeGob: %v", err)
+	gobOf := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatalf("gob encode %T: %v", v, err)
+		}
+		return buf.Bytes()
 	}
-	if codecIs := len(data) >= 2 && data[0] == 0xD1 && data[1] == 0xCE; codecIs {
-		t.Fatalf("gob encoding unexpectedly carries the codec magic")
+	snapGob := gobOf(&Snapshot{At: s.At, InFlight: s.InFlight, Consistent: s.Consistent})
+	if _, err := Decode(snapGob); err == nil {
+		t.Errorf("gob snapshot bytes decoded; want a codec header error")
 	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatalf("Decode(legacy gob): %v", err)
-	}
-	if got.At != s.At || len(got.Nodes) != 2 || got.Nodes["A"].NodeName() != "A" {
-		t.Errorf("legacy decode lost state: %+v", got)
-	}
-
-	nodeData, err := EncodeNodeGob(s.Nodes["A"])
-	if err != nil {
-		t.Fatalf("EncodeNodeGob: %v", err)
-	}
-	cp, err := DecodeNode("bird", nodeData)
-	if err != nil {
-		t.Fatalf("DecodeNode(legacy gob): %v", err)
-	}
-	if cp.NodeName() != "A" {
-		t.Errorf("legacy node decode = %q", cp.NodeName())
-	}
-	// Without the in-band tag of the codec form, a gob node encoding is
-	// undecodable when no implementation is supplied.
-	if _, err := DecodeNode("", nodeData); err == nil {
-		t.Errorf("tagless gob node decode must fail")
+	nodeGob := gobOf(s.Nodes["A"])
+	for _, impl := range []string{"", "bird"} {
+		if _, err := DecodeNode(impl, nodeGob); err == nil {
+			t.Errorf("gob node bytes decoded with impl %q; want a codec header error", impl)
+		}
 	}
 }
 
@@ -207,8 +195,8 @@ func TestNodeNamesSorted(t *testing.T) {
 	}
 }
 
-// TestDecodeSubHeaderInputs: the codec-vs-gob sniff must route zero-length
-// and sub-header inputs to a clean error on both decode surfaces — a
+// TestDecodeSubHeaderInputs: the header check must turn zero-length and
+// sub-header inputs into a clean error on both decode surfaces — a
 // truncated artifact can never slice-panic the snapshot loader.
 func TestDecodeSubHeaderInputs(t *testing.T) {
 	for _, data := range [][]byte{nil, {}, {0xD1}, {0xD1, 0xCE}, {0xD1, 0xCE, 1}} {

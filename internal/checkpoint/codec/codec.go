@@ -1,30 +1,23 @@
-// Package codec implements the deterministic binary checkpoint format that
-// replaced encoding/gob on the checkpoint hot path.
+// Package codec implements the deterministic binary format every artifact in
+// the repository is serialized with: checkpoints, soak history and the
+// control wire's payloads.
 //
-// gob was the original codec and it cost the system twice: its reflection-
-// driven encoder dominated snapshot Measure and baseline shipping, and its
-// randomized map iteration made byte-level comparisons of encodings useless —
-// the live-mode ring had to carry a parallel fingerprint channel just to tell
-// whether a node changed, and the distributed shard deltas only worked after
-// every checkpoint map grew a sorted GobEncode shim. This package fixes the
-// root cause: identical state always encodes to identical bytes, so content
-// hashes, binary deltas and cross-process comparisons are sound by
-// construction.
+// Identical state always encodes to identical bytes, so content hashes,
+// binary deltas and cross-process comparisons are sound by construction.
 //
 // The format is deliberately primitive:
 //
 //   - a 4-byte header (magic 0xD1 0xCE, a format version, a kind byte) gates
-//     every artifact, so legacy gob blobs — which can never start with 0xD1,
-//     an impossible first byte for a gob stream — are detected and routed to
-//     the old decoder;
+//     every stored artifact, so foreign bytes and unknown versions fail at
+//     the header;
 //   - integers are varints (unsigned or zig-zag), strings and byte blobs are
 //     length-prefixed;
 //   - repeated records (routes, sessions, events) travel in flat slabs with a
 //     fixed 32-bit length prefix, so a decoder can bound-check the whole slab
 //     before parsing and a corrupt count can never drive allocation past the
 //     buffer;
-//   - map-shaped data (per-peer route sets) is always encoded in sorted key
-//     order.
+//   - map-shaped data (per-peer route sets, input regions) is always encoded
+//     in sorted key order.
 //
 // Decoding is strictly non-panicking: the Reader carries a sticky error,
 // every count is validated against the remaining bytes before it sizes an
@@ -45,10 +38,7 @@ import (
 
 // Header layout: Magic0 Magic1 Version Kind.
 const (
-	// Magic0 and Magic1 open every codec artifact. 0xD1 is unreachable as
-	// the first byte of a gob stream (gob opens with a message length whose
-	// first byte is either < 0x80 or a 0xF8..0xFF byte-count marker), which
-	// is what makes the legacy-gob fallback sniff sound.
+	// Magic0 and Magic1 open every codec artifact.
 	Magic0 = 0xD1
 	Magic1 = 0xCE
 	// Version is the format revision; bump on any incompatible change.
@@ -68,8 +58,8 @@ const (
 	KindHistory = 3
 )
 
-// IsEncoded reports whether data opens with this package's header magic —
-// the gate between the codec decoder and the legacy gob fallback.
+// IsEncoded reports whether data opens with this package's header magic, so
+// a caller can refuse foreign bytes before parsing them.
 func IsEncoded(data []byte) bool {
 	return len(data) >= HeaderLen && data[0] == Magic0 && data[1] == Magic1
 }

@@ -6,7 +6,8 @@ import (
 
 // This file encodes the serializable record forms shared by every backend
 // (package node's RouteRecord, SessionRecord, EventRecord, RouterStats and
-// PeerRouteMap) into the codec's flat slabs. Both backends' canonical
+// PeerRouteMap) into the codec's flat slabs, plus the sorted blob map that
+// carries concolic input regions across process boundaries. Both backends' canonical
 // checkpoint payloads are assembled almost entirely from these helpers; what
 // differs per backend is only the configuration dialect wrapped around them.
 
@@ -195,6 +196,46 @@ func PeerRouteMap(r *Reader) node.PeerRouteMap {
 	return out
 }
 
+// PutBlobMap writes a map of named byte blobs (a concolic input's regions)
+// in sorted key order, so equal maps always encode to identical bytes.
+func PutBlobMap(w *Writer, m map[string][]byte) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sortStrings(keys)
+	w.Uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		w.String(k)
+		w.Blob(m[k])
+	}
+}
+
+// BlobMap reads a map written by PutBlobMap; zero count decodes to nil. Keys
+// must arrive strictly increasing, so a duplicate can never silently
+// overwrite an entry and every accepted input is canonical.
+func BlobMap(r *Reader) map[string][]byte {
+	n := r.Count()
+	if r.Err() != nil || n == 0 {
+		return nil
+	}
+	out := make(map[string][]byte, n)
+	prev := ""
+	for i := 0; i < n && r.Err() == nil; i++ {
+		k := r.String()
+		if i > 0 && k <= prev {
+			r.fail("blob map key %q not after %q", k, prev)
+			return nil
+		}
+		out[k] = r.Blob()
+		prev = k
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return out
+}
+
 // PutSessionRecords writes a length-prefixed flat slab of session records.
 func PutSessionRecords(w *Writer, recs []node.SessionRecord) {
 	mark := w.BeginSlab()
@@ -310,7 +351,8 @@ func statsFields(s *node.RouterStats) [statsFieldCount]*int {
 	}
 }
 
-// sortStrings is an allocation-free insertion sort; peer sets are tiny.
+// sortStrings is an allocation-free insertion sort; peer and region sets
+// are tiny.
 func sortStrings(ss []string) {
 	for i := 1; i < len(ss); i++ {
 		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {

@@ -194,3 +194,45 @@ func TestSortStrings(t *testing.T) {
 		t.Fatalf("sortStrings = %v, want %v", ss, want)
 	}
 }
+
+// TestBlobMapCanonical: a blob map encodes in sorted key order whatever its
+// insertion order, round-trips, decodes empty to nil, and rejects keys that
+// arrive out of order or duplicated.
+func TestBlobMapCanonical(t *testing.T) {
+	a := map[string][]byte{"tcp": {1, 2}, "bgp": {3}, "attrs": nil}
+	b := map[string][]byte{"attrs": nil}
+	b["bgp"] = []byte{3}
+	b["tcp"] = []byte{1, 2}
+	wa, wb := NewWriter(), NewWriter()
+	PutBlobMap(wa, a)
+	PutBlobMap(wb, b)
+	if !reflect.DeepEqual(wa.Bytes(), wb.Bytes()) {
+		t.Fatalf("equal maps encoded differently:\n%x\n%x", wa.Bytes(), wb.Bytes())
+	}
+	r := NewReader(wa.Bytes())
+	if got := BlobMap(r); !reflect.DeepEqual(got, a) {
+		t.Fatalf("blob map round trip: got %v want %v", got, a)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	we := NewWriter()
+	PutBlobMap(we, map[string][]byte{})
+	if got := BlobMap(NewReader(we.Bytes())); got != nil {
+		t.Fatalf("empty blob map decoded to %v", got)
+	}
+
+	for name, keys := range map[string][]string{"unsorted": {"b", "a"}, "duplicate": {"a", "a"}} {
+		w := NewWriter()
+		w.Uvarint(uint64(len(keys)))
+		for _, k := range keys {
+			w.String(k)
+			w.Blob([]byte{1})
+		}
+		r := NewReader(w.Bytes())
+		if got := BlobMap(r); got != nil || r.Err() == nil {
+			t.Errorf("%s keys accepted: %v", name, got)
+		}
+	}
+}

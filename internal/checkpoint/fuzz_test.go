@@ -9,7 +9,7 @@ import (
 
 // FuzzCheckpointCodecDecode hammers the codec's decode surface with mutated
 // bytes: whole snapshots, single-node encodings, flipped headers, truncated
-// slabs, and the legacy gob fallback path. The contract under fuzzing is the
+// slabs. The contract under fuzzing is the
 // codec's core safety property — malformed input returns an error, it never
 // panics and never decodes into a value that re-encodes differently. The
 // checked-in seed corpus (testdata/fuzz/FuzzCheckpointCodecDecode) starts
@@ -25,14 +25,10 @@ func FuzzCheckpointCodecDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	gobEnc, err := EncodeGob(s)
-	if err != nil {
-		f.Fatal(err)
-	}
 
 	f.Add(snapEnc)
 	f.Add(nodeEnc)
-	f.Add(gobEnc)
+	f.Add([]byte("foreign bytes without a codec header"))
 	f.Add([]byte{})
 	f.Add([]byte{codec.Magic0})
 	f.Add([]byte{codec.Magic0, codec.Magic1})

@@ -9,8 +9,11 @@ import (
 // input must either decode into a known message type or return an error —
 // never panic and never allocate unboundedly. The seed corpus covers every
 // valid message plus classic corruptions (bit flips in each header field,
-// truncations), and func-level seeds re-encode whatever decodes to confirm
-// decode∘encode is the identity on the valid subset.
+// truncations, a small frame claiming a 1 MB payload), and whatever decodes
+// must re-encode into the canonical form, which is a fixed point: decoding
+// it and encoding again reproduces it byte for byte. (A mutated payload may
+// carry non-minimal varints that parse anyway, so the first re-encoding
+// need not equal the input.)
 func FuzzShardMessageDecode(f *testing.F) {
 	for _, msg := range sampleMessages() {
 		var buf bytes.Buffer
@@ -28,6 +31,7 @@ func FuzzShardMessageDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{'D', 'W', WireVersion, byte(MsgHello), 0xff, 0xff, 0xff, 0xff})
+	f.Add(oversizedHeartbeat)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := DecodeFrame(bytes.NewReader(data))
@@ -37,10 +41,17 @@ func FuzzShardMessageDecode(f *testing.F) {
 		if msg == nil {
 			t.Fatal("nil message with nil error")
 		}
-		// What decodes must re-encode: the valid subset round-trips.
-		var buf bytes.Buffer
-		if _, err := EncodeFrame(&buf, msg); err != nil {
+		var canon bytes.Buffer
+		if _, err := EncodeFrame(&canon, msg); err != nil {
 			t.Fatalf("decoded %T does not re-encode: %v", msg, err)
+		}
+		again, err := DecodeFrame(bytes.NewReader(canon.Bytes()))
+		if err != nil {
+			t.Fatalf("canonical %T frame does not decode: %v", msg, err)
+		}
+		var twice bytes.Buffer
+		if _, err := EncodeFrame(&twice, again); err != nil || !bytes.Equal(twice.Bytes(), canon.Bytes()) {
+			t.Fatalf("canonical %T frame is not a fixed point (%v)", msg, err)
 		}
 	})
 }

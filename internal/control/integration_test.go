@@ -187,9 +187,8 @@ func TestDistributedThreeAgentsMatchesInProcess(t *testing.T) {
 	}
 	// The privacy boundary on the wire: per-unit results are summaries and
 	// verdicts, below the full-state counterfactual (every explored input
-	// shipping a full snapshot back). The margin is 2x, not more: the binary
-	// codec shrank snapshots roughly threefold versus gob, so the
-	// counterfactual itself is a much lower bar than it used to be.
+	// shipping a full snapshot back). The margin is 2x, not more: codec
+	// snapshots are compact, so the counterfactual itself is a low bar.
 	if full := remote.FullStateBytes * remote.InputsExplored; full > 0 && stats.ResultBytes*2 >= full {
 		t.Errorf("result wire bytes %d not well below full-state counterfactual %d", stats.ResultBytes, full)
 	}

@@ -13,9 +13,7 @@
 package control
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -23,6 +21,7 @@ import (
 
 	"github.com/dice-project/dice/internal/checker"
 	"github.com/dice-project/dice/internal/checkpoint"
+	"github.com/dice-project/dice/internal/checkpoint/codec"
 	"github.com/dice-project/dice/internal/concolic"
 	"github.com/dice-project/dice/internal/dice"
 	"github.com/dice-project/dice/internal/federation"
@@ -30,9 +29,10 @@ import (
 )
 
 // Wire framing: a fixed header of magic "DW", a version byte, a message-type
-// byte and a big-endian uint32 payload length, followed by the gob-encoded
-// payload. The version byte is checked before anything is decoded, so a
-// future incompatible revision fails loudly instead of misparsing.
+// byte and a big-endian uint32 payload length, followed by the payload in
+// the deterministic codec form (payload.go). The version byte is checked
+// before anything is decoded, so a future incompatible revision fails
+// loudly instead of misparsing.
 const (
 	wireMagic0 = 'D'
 	wireMagic1 = 'W'
@@ -43,15 +43,19 @@ const (
 	// Version 3: unit results cross the wire as RemoteResult projections —
 	// detections carry checker.ViolationDigest (never a Violation's free-form
 	// Detail) and snapshot provenance is recomputed control-side, so the
-	// result path discloses exactly what a federation summary would. A peer
-	// speaking an older version would ship or expect full dice.Result values,
-	// so the mismatch is rejected at the frame header, before any payload is
-	// decoded.
-	WireVersion = 3
-	// maxFramePayload caps a frame's payload so a corrupt or hostile length
-	// field cannot make the decoder allocate unboundedly.
-	maxFramePayload = 64 << 20
-	frameHeaderLen  = 8
+	// result path discloses exactly what a federation summary would.
+	// Version 4: every payload is encoded with the deterministic codec
+	// instead of gob, so equal messages encode to identical bytes. A peer
+	// speaking an older version is rejected at the frame header, before any
+	// payload is decoded.
+	WireVersion = 4
+	// maxFramePayload caps the payload of the frames that carry snapshots
+	// or result sets (Baseline, Lease, ShardResult); maxControlPayload caps
+	// every other frame. A corrupt or hostile length field therefore cannot
+	// make the decoder allocate more than its message type can need.
+	maxFramePayload   = 64 << 20
+	maxControlPayload = 64 << 10
+	frameHeaderLen    = 8
 )
 
 // MsgType tags a frame's payload type.
@@ -260,101 +264,44 @@ type ResultAck struct {
 	Accepted bool
 }
 
-// msgTypeOf maps a payload value to its frame tag.
-func msgTypeOf(msg any) (MsgType, error) {
-	switch msg.(type) {
-	case *Hello:
-		return MsgHello, nil
-	case *Welcome:
-		return MsgWelcome, nil
-	case *BaselineRequest:
-		return MsgBaselineRequest, nil
-	case *Baseline:
-		return MsgBaseline, nil
-	case *LeaseRequest:
-		return MsgLeaseRequest, nil
-	case *Lease:
-		return MsgLease, nil
-	case *NoWork:
-		return MsgNoWork, nil
-	case *Heartbeat:
-		return MsgHeartbeat, nil
-	case *HeartbeatAck:
-		return MsgHeartbeatAck, nil
-	case *ShardResult:
-		return MsgShardResult, nil
-	case *ResultAck:
-		return MsgResultAck, nil
-	default:
-		return 0, fmt.Errorf("control: cannot frame %T", msg)
-	}
-}
-
-// newMessage returns a fresh payload value for a frame tag.
-func newMessage(t MsgType) (any, error) {
+// frameCap returns the largest payload a frame of type t may carry.
+func frameCap(t MsgType) int {
 	switch t {
-	case MsgHello:
-		return &Hello{}, nil
-	case MsgWelcome:
-		return &Welcome{}, nil
-	case MsgBaselineRequest:
-		return &BaselineRequest{}, nil
-	case MsgBaseline:
-		return &Baseline{}, nil
-	case MsgLeaseRequest:
-		return &LeaseRequest{}, nil
-	case MsgLease:
-		return &Lease{}, nil
-	case MsgNoWork:
-		return &NoWork{}, nil
-	case MsgHeartbeat:
-		return &Heartbeat{}, nil
-	case MsgHeartbeatAck:
-		return &HeartbeatAck{}, nil
-	case MsgShardResult:
-		return &ShardResult{}, nil
-	case MsgResultAck:
-		return &ResultAck{}, nil
-	default:
-		return nil, fmt.Errorf("control: unknown message type %d", t)
+	case MsgBaseline, MsgLease, MsgShardResult:
+		return maxFramePayload
 	}
+	return maxControlPayload
 }
 
 // EncodeFrame writes msg as one versioned frame and returns the bytes
 // written (header plus payload) — the number the wire accounting records.
 func EncodeFrame(w io.Writer, msg any) (int, error) {
-	t, err := msgTypeOf(msg)
-	if err != nil {
-		return 0, err
+	m, ok := msg.(message)
+	if !ok {
+		return 0, fmt.Errorf("control: cannot frame %T", msg)
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(msg); err != nil {
-		return 0, fmt.Errorf("control: encode %T: %w", msg, err)
-	}
-	if payload.Len() > maxFramePayload {
-		return 0, fmt.Errorf("control: %T payload %d exceeds frame cap %d", msg, payload.Len(), maxFramePayload)
+	t := m.msgType()
+	var cw codec.Writer
+	m.walk(fields{w: &cw})
+	payload := cw.Bytes()
+	if len(payload) > frameCap(t) {
+		return 0, fmt.Errorf("control: %T payload %d exceeds frame cap %d", msg, len(payload), frameCap(t))
 	}
 	hdr := [frameHeaderLen]byte{wireMagic0, wireMagic1, WireVersion, byte(t)}
-	binary.BigEndian.PutUint32(hdr[4:], uint32(payload.Len()))
+	binary.BigEndian.PutUint32(hdr[4:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return 0, err
 	}
-	n, err := w.Write(payload.Bytes())
+	n, err := w.Write(payload)
 	return frameHeaderLen + n, err
 }
 
 // DecodeFrame reads one frame and returns its decoded payload. Malformed
-// input — bad magic, unsupported version, unknown type, oversized or
-// truncated payload, corrupt gob — returns an error; it never panics, since
-// frames arrive from the network.
-func DecodeFrame(r io.Reader) (msg any, err error) {
-	defer func() {
-		// gob decodes attacker-controlled bytes; a decoder panic must not
-		// take the process down.
-		if rec := recover(); rec != nil {
-			msg, err = nil, fmt.Errorf("control: frame decode panicked: %v", rec)
-		}
-	}()
+// input — bad magic, unsupported version, unknown type, a length past the
+// type's cap, a truncated payload, a payload that does not decode or
+// leaves trailing bytes — returns an error. The codec reader never panics,
+// so frames from the network need no recover.
+func DecodeFrame(r io.Reader) (any, error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("control: frame header: %w", err)
@@ -370,32 +317,23 @@ func DecodeFrame(r io.Reader) (msg any, err error) {
 		return nil, fmt.Errorf("control: unknown message type %d", t)
 	}
 	n := binary.BigEndian.Uint32(hdr[4:])
-	if n > maxFramePayload {
-		return nil, fmt.Errorf("control: frame payload %d exceeds cap %d", n, maxFramePayload)
+	if limit := frameCap(t); uint64(n) > uint64(limit) {
+		return nil, fmt.Errorf("control: message type %d payload %d exceeds cap %d", t, n, limit)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("control: frame payload: %w", err)
 	}
-	out, err := newMessage(t)
-	if err != nil {
-		return nil, err
+	m := newMessage[t]()
+	cr := codec.NewReader(payload)
+	m.walk(fields{r: cr})
+	if err := cr.Close(); err != nil {
+		return nil, fmt.Errorf("control: decode %T: %w", m, err)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
-		return nil, fmt.Errorf("control: decode %T: %w", out, err)
-	}
-	return out, nil
+	return m, nil
 }
 
 // FrameSize returns the encoded frame size of msg without writing it.
 func FrameSize(msg any) (int, error) {
-	var cw countWriter
-	return EncodeFrame(&cw, msg)
-}
-
-type countWriter int
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	*c += countWriter(len(p))
-	return len(p), nil
+	return EncodeFrame(io.Discard, msg)
 }

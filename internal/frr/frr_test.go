@@ -89,7 +89,7 @@ func canonical(t *testing.T, c *cluster.Cluster) string {
 }
 
 // TestFRRCheckpointCrossProcessRestore proves the dialect is a working
-// serialization: a converged frr cluster's snapshot survives gob encoding
+// serialization: a converged frr cluster's snapshot survives codec encoding
 // (dropping the in-process configs), and the decoded checkpoints restore
 // through ParseConfig into a byte-identical cluster.
 func TestFRRCheckpointCrossProcessRestore(t *testing.T) {

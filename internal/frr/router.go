@@ -22,8 +22,6 @@
 package frr
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"time"
@@ -43,7 +41,6 @@ const Implementation = "frr"
 const Decision = rib.DecisionPeerAddressFirst
 
 func init() {
-	gob.Register(&Checkpoint{})
 	node.Register(node.Backend{
 		Name:     Implementation,
 		Decision: Decision,
@@ -74,13 +71,6 @@ func init() {
 				return nil, fmt.Errorf("frr: restore %s: state is %T, not an frr state", im.Name(), st)
 			}
 			return fim.Restore(fst)
-		},
-		DecodeCheckpoint: func(data []byte) (node.Checkpoint, error) {
-			var cp Checkpoint
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cp); err != nil {
-				return nil, fmt.Errorf("frr: decode checkpoint: %w", err)
-			}
-			return &cp, nil
 		},
 		EncodeCanonical: func(cp node.Checkpoint) ([]byte, error) {
 			fcp, ok := cp.(*Checkpoint)

@@ -34,20 +34,12 @@ type Backend struct {
 	DecodeState func(cp Checkpoint) (State, error)
 	// Restore builds a fresh router from a decoded image and state.
 	Restore func(im Image, st State) (Router, error)
-	// DecodeCheckpoint deserializes one checkpoint from its single-node
-	// legacy gob encoding. Single-node encodings are concrete-typed — unlike
-	// a whole snapshot's interface-valued node map — so crossing a process
-	// boundary node by node needs the backend to name the concrete type to
-	// decode into. Optional; it is only the fallback for artifacts written
-	// before the deterministic codec (EncodeCanonical) existed.
-	DecodeCheckpoint func(data []byte) (Checkpoint, error)
 	// EncodeCanonical serializes a checkpoint into the backend's
 	// deterministic canonical codec payload: identical state always encodes
 	// to identical bytes (sorted map iteration, varint slabs). This is the
 	// byte form content hashes and binary deltas are computed over, framed
-	// by checkpoint.EncodeNode with the codec header and implementation tag.
-	// Optional: backends without it fall back to gob encoding and lose
-	// content addressing.
+	// by checkpoint.EncodeNode with the codec header and implementation tag,
+	// and the only form in which a checkpoint crosses a process boundary.
 	EncodeCanonical func(cp Checkpoint) ([]byte, error)
 	// DecodeCanonical parses a canonical payload produced by EncodeCanonical
 	// back into a checkpoint. Malformed payloads error, never panic.
@@ -69,11 +61,13 @@ type Registry struct {
 // NewRegistry returns an empty backend registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Register adds a backend to the registry. Registering an incomplete
-// backend or re-registering a name panics (two packages claiming one
-// implementation is a programming error, not a runtime condition).
+// Register adds a backend to the registry. Every field but Decision is
+// required: registering an incomplete backend or re-registering a name
+// panics (two packages claiming one implementation is a programming error,
+// not a runtime condition).
 func (reg *Registry) Register(b Backend) {
-	if b.Name == "" || b.Build == nil || b.ImageOf == nil || b.DecodeState == nil || b.Restore == nil {
+	if b.Name == "" || b.Build == nil || b.ImageOf == nil || b.DecodeState == nil || b.Restore == nil ||
+		b.EncodeCanonical == nil || b.DecodeCanonical == nil {
 		panic("node: incomplete backend registration")
 	}
 	reg.mu.Lock()

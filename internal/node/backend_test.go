@@ -111,6 +111,14 @@ func TestRegisterRejectsIncompleteAndDuplicate(t *testing.T) {
 	}
 	mustPanic("incomplete", node.Backend{Name: "half-baked"})
 	full, _ := node.BackendFor("bird")
+	// The canonical codec is the only checkpoint serialization, so a backend
+	// without either half of it cannot cross a process boundary.
+	noEncode := full
+	noEncode.EncodeCanonical = nil
+	mustPanic("no EncodeCanonical", noEncode)
+	noDecode := full
+	noDecode.DecodeCanonical = nil
+	mustPanic("no DecodeCanonical", noDecode)
 	reg.Register(full)
 	mustPanic("duplicate", full)
 }

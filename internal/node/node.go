@@ -81,8 +81,9 @@ type RouteEvent struct {
 // Checkpoint is the serializable per-node half of a consistent snapshot. The
 // concrete type belongs to the backend that produced it; the snapshot layer
 // treats it as opaque data tagged with the node name and the implementation
-// needed to restore it. Backends gob-register their concrete checkpoint
-// types so mixed-implementation snapshots cross process boundaries.
+// needed to restore it. Backends register canonical codec encoders for their
+// concrete checkpoint types so mixed-implementation snapshots cross process
+// boundaries.
 type Checkpoint interface {
 	// NodeName is the checkpointed router's name.
 	NodeName() string

@@ -1,7 +1,6 @@
 package procdriver
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"github.com/dice-project/dice/internal/checkpoint"
@@ -46,10 +45,6 @@ type State struct {
 	impl    string
 	data    []byte
 	innerSt node.State
-}
-
-func init() {
-	gob.Register(&Checkpoint{})
 }
 
 // makeBackend builds the "proc:<impl>" registry entry wrapping the named

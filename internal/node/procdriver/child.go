@@ -195,12 +195,7 @@ func (s *server) handle(typ byte, payload []byte) error {
 		maxBranches := int(r.Uvarint())
 		var in *concolic.Input
 		if armed {
-			in = &concolic.Input{Regions: make(map[string][]byte)}
-			n := r.Count()
-			for i := 0; i < n && r.Err() == nil; i++ {
-				name := r.String()
-				in.Regions[name] = r.Blob()
-			}
+			in = &concolic.Input{Regions: codec.BlobMap(r)}
 		}
 		if err := r.Close(); err != nil {
 			return err

@@ -3,7 +3,6 @@ package procdriver
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -434,17 +433,7 @@ func (p *proxy) ExploreNextUpdate(m *concolic.Machine, fromPeer string) {
 	w.String(fromPeer)
 	w.Uvarint(uint64(m.MaxBranches()))
 	if m != nil {
-		in := m.Input()
-		names := make([]string, 0, len(in.Regions))
-		for name := range in.Regions {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		w.Uvarint(uint64(len(names)))
-		for _, name := range names {
-			w.String(name)
-			w.Blob(in.Regions[name])
-		}
+		codec.PutBlobMap(w, m.Input().Regions)
 	}
 	p.callFatal(nil, frameArm, w.Bytes())
 }

@@ -264,16 +264,7 @@ func encodeTrace(w *codec.Writer, t *concolic.Trace) {
 		w.String(ref.Region)
 		w.Uvarint(uint64(ref.Index))
 	}
-	names = names[:0]
-	for name := range t.Regions {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	w.Uvarint(uint64(len(names)))
-	for _, name := range names {
-		w.String(name)
-		w.Blob(t.Regions[name])
-	}
+	codec.PutBlobMap(w, t.Regions)
 	w.Bool(t.Truncated)
 }
 
@@ -284,7 +275,6 @@ func decodeTrace(r *codec.Reader) *concolic.Trace {
 	t := &concolic.Trace{
 		Assignment: make(expr.Assignment),
 		Vars:       make(map[string]concolic.VarRef),
-		Regions:    make(map[string][]byte),
 	}
 	n := r.Count()
 	for i := 0; i < n && r.Err() == nil; i++ {
@@ -300,11 +290,7 @@ func decodeTrace(r *codec.Reader) *concolic.Trace {
 		name := r.String()
 		t.Vars[name] = concolic.VarRef{Region: r.String(), Index: int(r.Uvarint())}
 	}
-	n = r.Count()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		name := r.String()
-		t.Regions[name] = r.Blob()
-	}
+	t.Regions = codec.BlobMap(r)
 	t.Truncated = r.Bool()
 	return t
 }

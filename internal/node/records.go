@@ -1,16 +1,12 @@
 package node
 
 import (
-	"bytes"
-	"encoding/gob"
-	"sort"
-
 	"github.com/dice-project/dice/internal/bgp"
 	"github.com/dice-project/dice/internal/bgp/rib"
 )
 
 // RouteRecord is the serializable form of one RIB entry. It carries no
-// pointers or interfaces so it can be encoded with encoding/gob or JSON.
+// pointers or interfaces; the checkpoint codec encodes it as a flat record.
 // Both backends checkpoint their RIB contents as RouteRecords; what differs
 // per backend is the configuration dialect wrapped around them.
 type RouteRecord struct {
@@ -124,48 +120,8 @@ type EventRecord struct {
 }
 
 // PeerRouteMap maps a peer name to the route records learned from (or
-// advertised to) that peer. Plain Go maps gob-encode in randomized iteration
-// order, so the same checkpoint would serialize to different bytes on every
-// encoding; PeerRouteMap instead travels as a peer-sorted entry list. The
-// snapshot-delta wire format depends on this determinism: shard deltas are
-// binary patches against a baseline encoding that control plane and agents
-// compute independently, which is only sound when identical state always
-// encodes to identical bytes.
+// advertised to) that peer. The checkpoint codec encodes it in sorted peer
+// order (codec.PutPeerRouteMap), so identical state always serializes to
+// identical bytes — the property content hashes and the snapshot-delta wire
+// format depend on.
 type PeerRouteMap map[string][]RouteRecord
-
-// peerRoutesEntry is the sorted shipping form of one PeerRouteMap entry.
-type peerRoutesEntry struct {
-	Peer   string
-	Routes []RouteRecord
-}
-
-// GobEncode implements gob.GobEncoder with a deterministic encoding.
-func (m PeerRouteMap) GobEncode() ([]byte, error) {
-	peers := make([]string, 0, len(m))
-	for p := range m {
-		peers = append(peers, p)
-	}
-	sort.Strings(peers)
-	entries := make([]peerRoutesEntry, 0, len(m))
-	for _, p := range peers {
-		entries = append(entries, peerRoutesEntry{Peer: p, Routes: m[p]})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(entries); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (m *PeerRouteMap) GobDecode(data []byte) error {
-	var entries []peerRoutesEntry
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&entries); err != nil {
-		return err
-	}
-	*m = make(PeerRouteMap, len(entries))
-	for _, e := range entries {
-		(*m)[e.Peer] = e.Routes
-	}
-	return nil
-}

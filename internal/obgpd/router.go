@@ -27,8 +27,6 @@
 package obgpd
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"time"
@@ -48,7 +46,6 @@ const Implementation = "obgpd"
 const Decision = rib.DecisionOldestFirst
 
 func init() {
-	gob.Register(&Checkpoint{})
 	node.Register(node.Backend{
 		Name:     Implementation,
 		Decision: Decision,
@@ -79,13 +76,6 @@ func init() {
 				return nil, fmt.Errorf("obgpd: restore %s: state is %T, not an obgpd state", im.Name(), st)
 			}
 			return oim.Restore(ost)
-		},
-		DecodeCheckpoint: func(data []byte) (node.Checkpoint, error) {
-			var cp Checkpoint
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cp); err != nil {
-				return nil, fmt.Errorf("obgpd: decode checkpoint: %w", err)
-			}
-			return &cp, nil
 		},
 		EncodeCanonical: func(cp node.Checkpoint) ([]byte, error) {
 			ocp, ok := cp.(*Checkpoint)

@@ -195,8 +195,7 @@ func (h *History) Encode() []byte {
 }
 
 // ErrNotHistory reports data that does not open with the codec magic — a
-// legacy or foreign file the daemon must refuse rather than misparse (the
-// same sniff that routes legacy gob snapshots away from the codec decoder).
+// foreign file the daemon must refuse rather than misparse.
 var ErrNotHistory = errors.New("serve: not a codec soak-history artifact")
 
 // DecodeHistory parses a KindHistory artifact.
