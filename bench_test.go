@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/dice-project/dice/internal/bgp"
+	"github.com/dice-project/dice/internal/checker"
 	"github.com/dice-project/dice/internal/checkpoint"
 	"github.com/dice-project/dice/internal/cluster"
 	"github.com/dice-project/dice/internal/concolic"
@@ -318,6 +319,28 @@ func benchPooledReset(b *testing.B, topo *topology.Topology) {
 		exploreOnce(c)
 		pool.Release(c)
 		b.StartTimer()
+	}
+}
+
+// BenchmarkCheckAllGR100 measures one check of the default properties on a
+// pooled clone of the 100-router Gao-Rexford topology after one explored
+// input: the per-input checking cost of the campaign-gr100 workload.
+func BenchmarkCheckAllGR100(b *testing.B) {
+	topo, snap := convergedSnapshot(b, topology.GaoRexford(3, 25, 72, 1))
+	store, err := checkpoint.NewStore(snap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := cluster.NewClonePool(topo, store, cluster.Options{Seed: 1, GaoRexford: true})
+	c, err := pool.Lease()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pool.Release(c)
+	exploreOnce(c)
+	props := checker.DefaultProperties(topo)
+	for b.Loop() {
+		checker.CheckAll(c, props)
 	}
 }
 

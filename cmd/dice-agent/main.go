@@ -24,6 +24,10 @@ import (
 	"github.com/dice-project/dice/internal/obs"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a stalled or hostile client cannot hold a connection forever.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	name := flag.String("name", hostname(), "agent display name")
 	controlURL := flag.String("control", "http://127.0.0.1:7777", "control plane base URL")
@@ -61,7 +65,7 @@ func main() {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 			_ = reg.WritePrometheus(w)
 		})
-		srv := &http.Server{Handler: mux}
+		srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 		go srv.Serve(ln)
 		defer srv.Close()
 		fmt.Printf("agent %s: metrics on http://%s\n", *name, ln.Addr())

@@ -25,6 +25,10 @@ import (
 	"github.com/dice-project/dice/internal/obs"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a stalled or hostile client cannot hold a connection forever.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "address to serve the control API on")
 	agents := flag.Int("agents", 1, "registered agents required before the campaign starts")
@@ -87,7 +91,7 @@ func run(listen string, agents, unitsPerShard int, leaseTTL time.Duration, input
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		_ = reg.WritePrometheus(w)
 	})
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	go srv.Serve(ln)
 	defer srv.Close()
 	// The line agents (and the smoke driver) parse for the dial address.

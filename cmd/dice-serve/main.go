@@ -15,9 +15,14 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"github.com/dice-project/dice/internal/serve"
 )
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a stalled or hostile client cannot hold a connection forever.
+const readHeaderTimeout = 10 * time.Second
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7780", "address to serve the API on")
@@ -47,7 +52,7 @@ func run(listen, history string, traceCap int) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go srv.Serve(ln)
 	// The line the smoke driver parses for the dial address.
 	fmt.Printf("serve: listening on http://%s\n", ln.Addr())

@@ -2,6 +2,8 @@ package bgp
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -482,5 +484,57 @@ func TestQuickSymParseAgreesWithConcrete(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStringFormsMatchFmt pins the allocation-light renderings of addresses
+// and prefixes to the fmt forms they replaced, byte for byte.
+func TestStringFormsMatchFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	values := []uint32{0, 1, 0xFFFFFFFF, 0x0A000001, 0x7F000001, 0x00FF00FF}
+	for i := 0; i < 2000; i++ {
+		values = append(values, rng.Uint32())
+	}
+	for _, v := range values {
+		wantIP := fmt.Sprintf("%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+		if got := ipString(v); got != wantIP {
+			t.Fatalf("ipString(%#x) = %q, want %q", v, got, wantIP)
+		}
+		for _, l := range []uint8{0, 1, 8, 16, 24, 32, uint8(rng.Intn(33)), 255} {
+			p := Prefix{Addr: v, Len: l}
+			want := fmt.Sprintf("%s/%d", wantIP, l)
+			if got := p.String(); got != want {
+				t.Fatalf("Prefix%+v.String() = %q, want %q", p, got, want)
+			}
+		}
+	}
+}
+
+// TestSortPrefixesCanonical checks SortPrefixes and Compare against Less.
+func TestSortPrefixesCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	ps := make([]Prefix, 500)
+	for i := range ps {
+		// A narrow address range forces equal addresses with different
+		// lengths, the tie Less breaks on length.
+		ps[i] = Prefix{Addr: uint32(rng.Intn(16)) << 28, Len: uint8(rng.Intn(33))}
+	}
+	SortPrefixes(ps)
+	for i := 1; i < len(ps); i++ {
+		if ps[i].Less(ps[i-1]) {
+			t.Fatalf("not sorted at %d: %v before %v", i, ps[i-1], ps[i])
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		a, b := ps[rng.Intn(len(ps))], ps[rng.Intn(len(ps))]
+		want := 0
+		if a.Less(b) {
+			want = -1
+		} else if b.Less(a) {
+			want = 1
+		}
+		if got := a.Compare(b); got != want {
+			t.Fatalf("%v.Compare(%v) = %d, want %d", a, b, got, want)
+		}
 	}
 }

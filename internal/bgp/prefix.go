@@ -11,9 +11,10 @@
 package bgp
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -32,7 +33,19 @@ type RouterID uint32
 func (r RouterID) String() string { return ipString(uint32(r)) }
 
 func ipString(v uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	var buf [len("255.255.255.255")]byte
+	return string(appendIP(buf[:0], v))
+}
+
+// appendIP appends the dotted-quad form of v.
+func appendIP(dst []byte, v uint32) []byte {
+	dst = strconv.AppendUint(dst, uint64(byte(v>>24)), 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, uint64(byte(v>>16)), 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, uint64(byte(v>>8)), 10)
+	dst = append(dst, '.')
+	return strconv.AppendUint(dst, uint64(byte(v)), 10)
 }
 
 // ParseIPv4 parses a dotted-quad IPv4 address into its 32-bit value.
@@ -116,7 +129,9 @@ func (p Prefix) Valid() bool {
 
 // String renders the prefix in "a.b.c.d/len" form.
 func (p Prefix) String() string {
-	return fmt.Sprintf("%s/%d", ipString(p.Addr), p.Len)
+	var buf [len("255.255.255.255/255")]byte
+	dst := append(appendIP(buf[:0], p.Addr), '/')
+	return string(strconv.AppendUint(dst, uint64(p.Len), 10))
 }
 
 // Less orders prefixes by address then by length, giving a deterministic
@@ -128,9 +143,17 @@ func (p Prefix) Less(other Prefix) bool {
 	return p.Len < other.Len
 }
 
+// Compare orders prefixes as Less does, returning -1, 0 or +1.
+func (p Prefix) Compare(other Prefix) int {
+	if c := cmp.Compare(p.Addr, other.Addr); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.Len, other.Len)
+}
+
 // SortPrefixes sorts a slice of prefixes in place into canonical order.
 func SortPrefixes(ps []Prefix) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
+	slices.SortFunc(ps, Prefix.Compare)
 }
 
 // encodedPrefixLen returns the number of NLRI octets used by a prefix of the

@@ -1,6 +1,7 @@
 package rib
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/dice-project/dice/internal/bgp"
@@ -112,6 +113,7 @@ func (a *AdjRIBOut) Clone() *AdjRIBOut {
 // prefixEntry holds all candidate routes for one prefix plus the current
 // selection.
 type prefixEntry struct {
+	prefix bgp.Prefix
 	// candidates is keyed by the source: peer name, or "" for the locally
 	// originated route.
 	candidates map[string]*Route
@@ -121,7 +123,12 @@ type prefixEntry struct {
 // LocRIB is the local RIB: for every prefix, the candidate routes that passed
 // import policy and the best route chosen by the decision process.
 type LocRIB struct {
-	entries  map[bgp.Prefix]*prefixEntry
+	entries map[bgp.Prefix]*prefixEntry
+	// order holds the values of entries in canonical prefix order. Only the
+	// methods that create or delete an entry maintain it; readers walk it
+	// without sorting and without writing, so concurrent readers stay
+	// race-free.
+	order    []*prefixEntry
 	decision DecisionPolicy
 	// age is the arrival-stamp counter behind Route.Age: it advances once per
 	// newly installed candidate, in event order, so "older" is a deterministic,
@@ -162,11 +169,7 @@ type BestChange struct {
 // the peer refreshes an existing one — a refresh does not make a path young
 // again, matching the stability intent of the route-age tie-break.
 func (l *LocRIB) Update(m *concolic.Machine, r *Route) BestChange {
-	e := l.entries[r.Prefix]
-	if e == nil {
-		e = &prefixEntry{candidates: make(map[string]*Route)}
-		l.entries[r.Prefix] = e
-	}
+	e := l.entry(r.Prefix)
 	if r.Age == 0 {
 		if prev := e.candidates[r.Peer]; prev != nil && prev.Age != 0 {
 			r.Age = prev.Age
@@ -195,8 +198,36 @@ func (l *LocRIB) Withdraw(m *concolic.Machine, p bgp.Prefix, source string) Best
 	change := l.reselect(m, p, e)
 	if len(e.candidates) == 0 {
 		delete(l.entries, p)
+		i := l.search(p)
+		l.order = slices.Delete(l.order, i, i+1)
 	}
 	return change
+}
+
+// entry returns the entry for the prefix, creating it (and inserting the
+// prefix into the ordered index) when absent.
+func (l *LocRIB) entry(p bgp.Prefix) *prefixEntry {
+	if e := l.entries[p]; e != nil {
+		return e
+	}
+	e := &prefixEntry{prefix: p, candidates: make(map[string]*Route)}
+	l.entries[p] = e
+	i := l.search(p)
+	l.order = append(l.order, nil)
+	copy(l.order[i+1:], l.order[i:])
+	l.order[i] = e
+	return e
+}
+
+// search returns the position of p in the ordered index, or where it would
+// be inserted. Appending in canonical order (the checkpoint restore path) is
+// the common case and costs one comparison.
+func (l *LocRIB) search(p bgp.Prefix) int {
+	n := len(l.order)
+	if n == 0 || l.order[n-1].prefix.Less(p) {
+		return n
+	}
+	return sort.Search(n, func(i int) bool { return !l.order[i].prefix.Less(p) })
 }
 
 func (l *LocRIB) reselect(m *concolic.Machine, p bgp.Prefix, e *prefixEntry) BestChange {
@@ -240,11 +271,7 @@ func sameRoute(a, b *Route) bool {
 // Restored arrival stamps advance the counter, so stamps handed out after a
 // restore continue the checkpointed sequence instead of colliding with it.
 func (l *LocRIB) InsertCandidate(r *Route) {
-	e := l.entries[r.Prefix]
-	if e == nil {
-		e = &prefixEntry{candidates: make(map[string]*Route)}
-		l.entries[r.Prefix] = e
-	}
+	e := l.entry(r.Prefix)
 	if r.Age > l.age {
 		l.age = r.Age
 	}
@@ -255,8 +282,8 @@ func (l *LocRIB) InsertCandidate(r *Route) {
 // a deterministic function of the candidate set, so the result is identical
 // to having run Update once per candidate, at a fraction of the cost.
 func (l *LocRIB) ReselectAll() {
-	for p, e := range l.entries {
-		l.reselect(nil, p, e)
+	for _, e := range l.order {
+		l.reselect(nil, e.prefix, e)
 	}
 }
 
@@ -284,21 +311,24 @@ func (l *LocRIB) Candidates(p bgp.Prefix) []*Route {
 }
 
 // Prefixes returns all prefixes with at least one candidate, in canonical
-// order.
+// order. The slice is a copy the caller may keep or modify.
 func (l *LocRIB) Prefixes() []bgp.Prefix {
-	out := make([]bgp.Prefix, 0, len(l.entries))
-	for p := range l.entries {
-		out = append(out, p)
+	out := make([]bgp.Prefix, len(l.order))
+	for i, e := range l.order {
+		out[i] = e.prefix
 	}
-	bgp.SortPrefixes(out)
 	return out
 }
 
-// BestRoutes returns the selected route for every prefix, in canonical order.
+// BestRoutes returns the selected route for every prefix, in canonical order,
+// or nil when no prefix has a selection.
 func (l *LocRIB) BestRoutes() []*Route {
 	var out []*Route
-	for _, p := range l.Prefixes() {
-		if b := l.Best(p); b != nil {
+	for i, e := range l.order {
+		if b := e.best; b != nil {
+			if out == nil {
+				out = make([]*Route, 0, len(l.order)-i)
+			}
 			out = append(out, b)
 		}
 	}
@@ -310,6 +340,8 @@ func (l *LocRIB) BestRoutes() []*Route {
 // RIB is indistinguishable from a cold-built one.
 func (l *LocRIB) Clear() {
 	clear(l.entries)
+	clear(l.order)
+	l.order = l.order[:0]
 	l.age = 0
 }
 
@@ -321,8 +353,9 @@ func (l *LocRIB) Len() int { return len(l.entries) }
 func (l *LocRIB) Clone() *LocRIB {
 	out := NewLocRIBFor(l.decision)
 	out.age = l.age
-	for p, e := range l.entries {
-		ne := &prefixEntry{candidates: make(map[string]*Route, len(e.candidates))}
+	out.order = make([]*prefixEntry, len(l.order))
+	for i, e := range l.order {
+		ne := &prefixEntry{prefix: e.prefix, candidates: make(map[string]*Route, len(e.candidates))}
 		for s, r := range e.candidates {
 			c := r.Clone()
 			ne.candidates[s] = c
@@ -330,7 +363,8 @@ func (l *LocRIB) Clone() *LocRIB {
 				ne.best = c
 			}
 		}
-		out.entries[p] = ne
+		out.entries[e.prefix] = ne
+		out.order[i] = ne
 	}
 	return out
 }

@@ -1,6 +1,10 @@
 package rib
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -333,4 +337,115 @@ func TestQuickSelectBestIsMaximal(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// checkOrderedIndex verifies the Loc-RIB's ordered prefix index against its
+// entry map: Prefixes is the sorted key set and BestRoutes is Best over it.
+func checkOrderedIndex(t *testing.T, step int, l *LocRIB) {
+	t.Helper()
+	keys := make([]bgp.Prefix, 0, len(l.entries))
+	for p := range l.entries {
+		keys = append(keys, p)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+	if got := l.Prefixes(); !reflect.DeepEqual(got, keys) {
+		t.Fatalf("step %d: Prefixes() = %v, want %v", step, got, keys)
+	}
+	var want []*Route
+	for _, p := range keys {
+		if b := l.Best(p); b != nil {
+			want = append(want, b)
+		}
+	}
+	if got := l.BestRoutes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("step %d: BestRoutes() = %v, want %v", step, got, want)
+	}
+	if l.Len() != len(keys) {
+		t.Fatalf("step %d: Len() = %d, want %d", step, l.Len(), len(keys))
+	}
+}
+
+// TestLocRIBOrderedIndex runs seeded random sequences of every method that
+// creates or deletes an entry and checks the ordered index after each one.
+func TestLocRIBOrderedIndex(t *testing.T) {
+	peers := []string{"", "p1", "p2", "p3"}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		randomRoute := func() *Route {
+			// Sixteen addresses times two lengths keep prefixes colliding,
+			// so updates hit existing entries and withdrawals empty them.
+			pfx := bgp.Prefix{Addr: uint32(rng.Intn(16)) << 24, Len: uint8(8 + 8*rng.Intn(2))}
+			peer := peers[rng.Intn(len(peers))]
+			r := route(pfx.String(), peer, bgp.ASN(65000+rng.Intn(4)), uint32(100+rng.Intn(3)*50), 1+rng.Intn(3))
+			r.Local = peer == ""
+			return r
+		}
+		l := NewLocRIB()
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(20); {
+			case op < 9:
+				l.Update(nil, randomRoute())
+			case op < 16:
+				r := randomRoute()
+				l.Withdraw(nil, r.Prefix, r.Peer)
+			case op < 18:
+				for n := rng.Intn(6); n > 0; n-- {
+					l.InsertCandidate(randomRoute())
+				}
+				l.ReselectAll()
+			case op < 19:
+				if rng.Intn(3) == 0 {
+					l.Clear()
+				}
+			default:
+				orig := l
+				l = l.Clone()
+				checkOrderedIndex(t, step, orig)
+				// Mutating the clone must leave the original's index alone.
+				before := orig.Prefixes()
+				l.Update(nil, randomRoute())
+				if len(before) > 0 {
+					l.Withdraw(nil, before[0], "")
+				}
+				if got := orig.Prefixes(); !reflect.DeepEqual(got, before) {
+					t.Fatalf("step %d: clone mutation changed the original: %v, want %v", step, got, before)
+				}
+			}
+			checkOrderedIndex(t, step, l)
+		}
+	}
+}
+
+// TestLocRIBConcurrentReaders calls the read methods from several goroutines
+// at once; run under -race it proves reads write no shared state.
+func TestLocRIBConcurrentReaders(t *testing.T) {
+	l := NewLocRIB()
+	for i := 0; i < 64; i++ {
+		pfx := bgp.Prefix{Addr: uint32(i) << 24, Len: 8}
+		l.Update(nil, route(pfx.String(), "p1", 65001, 100, 1+i%3))
+		l.Update(nil, route(pfx.String(), "p2", 65002, 100, 1+i%2))
+	}
+	want := l.BestRoutes()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				ps := l.Prefixes()
+				if len(ps) != 64 {
+					t.Errorf("Prefixes() has %d entries, want 64", len(ps))
+					return
+				}
+				for j, b := range l.BestRoutes() {
+					if b != want[j] || l.Best(ps[j]) != b {
+						t.Errorf("reader saw a different best route for %v", ps[j])
+						return
+					}
+				}
+				ps[0] = bgp.Prefix{} // the copy is the caller's own
+			}
+		}()
+	}
+	wg.Wait()
 }

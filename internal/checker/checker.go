@@ -16,7 +16,9 @@ package checker
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"github.com/dice-project/dice/internal/bgp"
 	"github.com/dice-project/dice/internal/cluster"
@@ -108,7 +110,7 @@ func (v Violation) String() string {
 
 // Key identifies the violation for deduplication across explored inputs.
 func (v Violation) Key() string {
-	return fmt.Sprintf("%s|%s|%s|%v", v.Property, v.Node, v.Prefix, v.HasPfx)
+	return v.Property + "|" + v.Node + "|" + v.Prefix.String() + "|" + strconv.FormatBool(v.HasPfx)
 }
 
 // Result is the outcome of checking one property over one system state.
@@ -279,28 +281,33 @@ func (Reachability) Name() string { return "reachability" }
 // Check implements Property.
 func (p Reachability) Check(c *cluster.Cluster) Result {
 	res := Result{Property: p.Name()}
+	// The registry never changes during a check, so it is listed once and
+	// only a node's missing prefixes are sorted.
 	prefixes := make([]bgp.Prefix, 0, len(p.Ownership))
 	for pfx := range p.Ownership {
 		prefixes = append(prefixes, pfx)
 	}
-	bgp.SortPrefixes(prefixes)
+	var missing []bgp.Prefix
 	for _, name := range c.RouterNames() {
-		r := c.Router(name)
-		ok := true
+		lr := c.Router(name).LocRIB()
+		missing = missing[:0]
 		for _, pfx := range prefixes {
-			if r.LocRIB().Best(pfx) == nil {
-				ok = false
-				res.Violations = append(res.Violations, Violation{
-					Property: p.Name(),
-					Class:    ClassOperatorMistake,
-					Node:     name,
-					Prefix:   pfx,
-					HasPfx:   true,
-					Detail:   "no route to registered prefix (blackhole)",
-				})
+			if lr.Best(pfx) == nil {
+				missing = append(missing, pfx)
 			}
 		}
-		v := Verdict{Node: name, Property: p.Name(), OK: ok}
+		bgp.SortPrefixes(missing)
+		for _, pfx := range missing {
+			res.Violations = append(res.Violations, Violation{
+				Property: p.Name(),
+				Class:    ClassOperatorMistake,
+				Node:     name,
+				Prefix:   pfx,
+				HasPfx:   true,
+				Detail:   "no route to registered prefix (blackhole)",
+			})
+		}
+		v := Verdict{Node: name, Property: p.Name(), OK: len(missing) == 0}
 		res.Verdicts = append(res.Verdicts, v)
 		res.DisclosedBytes += v.size()
 	}
@@ -357,16 +364,23 @@ type ProjectionProperty interface {
 
 // Projection implements ProjectionProperty.
 func (LoopFreedom) Projection(c *cluster.Cluster) []ForwardingEdge {
-	var edges []ForwardingEdge
-	for _, name := range c.RouterNames() {
-		r := c.Router(name)
-		for _, best := range r.LocRIB().BestRoutes() {
+	names := c.RouterNames()
+	size := 0
+	for _, name := range names {
+		size += c.Router(name).LocRIB().Len()
+	}
+	edges := make([]ForwardingEdge, 0, size)
+	for _, name := range names {
+		for _, best := range c.Router(name).LocRIB().BestRoutes() {
 			e := ForwardingEdge{Node: name, Prefix: best.Prefix}
 			if !best.Local {
 				e.NextHop = best.Peer
 			}
 			edges = append(edges, e)
 		}
+	}
+	if len(edges) == 0 {
+		return nil
 	}
 	return edges
 }
@@ -384,62 +398,128 @@ func (p LoopFreedom) Check(c *cluster.Cluster) Result {
 	return res
 }
 
-// CheckProjection implements ProjectionProperty.
+// Per-node walk states of CheckProjection's memoized loop walk.
+const (
+	walkUnvisited uint8 = iota
+	walkOnPath
+	walkLoops
+	walkTerminates
+)
+
+// projHop is one forwarding edge with its prefix and names interned: pfx
+// indexes the prefixes in order of first appearance, and next is -1 when the
+// node originates the prefix.
+type projHop struct {
+	pfx, node, next int32
+}
+
+// CheckProjection implements ProjectionProperty. Node names are interned to
+// ints once and the edges grouped by prefix into one next-hop row per prefix
+// (the last edge for a (node, prefix) pair wins). Each row is a functional
+// graph, so one memoized walk per prefix settles every node as either
+// reaching a loop or terminating, and visits each node once however many
+// walks pass through it.
 func (p LoopFreedom) CheckProjection(edges []ForwardingEdge, nodes []string) Result {
 	res := Result{Property: p.Name()}
-	// nextHop[node][prefix] = neighbor the node forwards to ("" = local).
-	nextHop := make(map[string]map[bgp.Prefix]string)
-	prefixSet := make(map[bgp.Prefix]bool)
-	for _, e := range edges {
-		proj := nextHop[e.Node]
-		if proj == nil {
-			proj = make(map[bgp.Prefix]string)
-			nextHop[e.Node] = proj
+	if len(nodes) > 0 {
+		res.Verdicts = make([]Verdict, 0, len(nodes))
+	}
+	ids := make(map[string]int32, len(nodes))
+	intern := func(name string) int32 {
+		id, ok := ids[name]
+		if !ok {
+			id = int32(len(ids))
+			ids[name] = id
 		}
-		proj[e.Prefix] = e.NextHop
-		prefixSet[e.Prefix] = true
+		return id
 	}
-	prefixes := make([]bgp.Prefix, 0, len(prefixSet))
-	for pfx := range prefixSet {
-		prefixes = append(prefixes, pfx)
+	starts := make([]int32, len(nodes))
+	for i, name := range nodes {
+		starts[i] = intern(name)
 	}
-	bgp.SortPrefixes(prefixes)
+	// One pass interns every edge: its prefix by first appearance, its
+	// names by id. Projections list a node's edges together, so the node's
+	// id is looked up once per run of edges.
+	seen := make(map[bgp.Prefix]int32)
+	var prefixes []bgp.Prefix
+	hops := make([]projHop, len(edges))
+	lastNode, lastID := "", int32(-1)
+	for i, e := range edges {
+		if lastID < 0 || e.Node != lastNode {
+			lastNode, lastID = e.Node, intern(e.Node)
+		}
+		pi, ok := seen[e.Prefix]
+		if !ok {
+			pi = int32(len(prefixes))
+			seen[e.Prefix] = pi
+			prefixes = append(prefixes, e.Prefix)
+		}
+		h := projHop{pfx: pi, node: lastID, next: -1}
+		if e.NextHop != "" {
+			h.next = intern(e.NextHop)
+		}
+		hops[i] = h
+	}
+	sorted := slices.Clone(prefixes)
+	bgp.SortPrefixes(sorted)
+	rank := make([]int, len(prefixes))
+	for pi, pfx := range prefixes {
+		rank[pi], _ = slices.BinarySearchFunc(sorted, pfx, bgp.Prefix.Compare)
+	}
 
-	loopSeen := make(map[string]bool) // start+prefix keys already reported
-	loopByNode := make(map[string]bool)
-	for _, pfx := range prefixes {
-		for _, start := range nodes {
-			seen := map[string]bool{}
-			cur := start
+	// next[r*n+id] is the node id forwards to for the prefix of rank r, or
+	// -1 when it originates the prefix or has no route.
+	n := len(ids)
+	next := make([]int32, len(prefixes)*n)
+	for i := range next {
+		next[i] = -1
+	}
+	for _, h := range hops {
+		next[rank[h.pfx]*n+int(h.node)] = h.next
+	}
+	state := make([]uint8, n)
+	// reported[id] is 1 + the rank of the last prefix a loop was reported
+	// for from start id: zero means no walk from id ever reached a loop.
+	reported := make([]int32, n)
+	var path []int32
+	for r, pfx := range sorted {
+		row := next[r*n : (r+1)*n]
+		for i, start := range starts {
+			cur, outcome := start, walkTerminates
+			path = path[:0]
 			for {
-				if seen[cur] {
-					// Cycle reached from start for this prefix.
-					key := start + "|" + pfx.String()
-					if !loopSeen[key] {
-						loopSeen[key] = true
-						loopByNode[start] = true
-						res.Violations = append(res.Violations, Violation{
-							Property: p.Name(),
-							Class:    ClassPolicyConflict,
-							Node:     start,
-							Prefix:   pfx,
-							HasPfx:   true,
-							Detail:   "forwarding loop",
-						})
+				if s := state[cur]; s != walkUnvisited {
+					if s != walkTerminates {
+						outcome = walkLoops // closed a cycle, or joined one
 					}
 					break
 				}
-				seen[cur] = true
-				next, ok := nextHop[cur][pfx]
-				if !ok || next == "" {
+				state[cur] = walkOnPath
+				path = append(path, cur)
+				if row[cur] < 0 {
 					break // reached the origin or a node with no route
 				}
-				cur = next
+				cur = row[cur]
+			}
+			for _, id := range path {
+				state[id] = outcome
+			}
+			if state[start] == walkLoops && reported[start] != int32(r)+1 {
+				reported[start] = int32(r) + 1
+				res.Violations = append(res.Violations, Violation{
+					Property: p.Name(),
+					Class:    ClassPolicyConflict,
+					Node:     nodes[i],
+					Prefix:   pfx,
+					HasPfx:   true,
+					Detail:   "forwarding loop",
+				})
 			}
 		}
+		clear(state)
 	}
-	for _, name := range nodes {
-		v := Verdict{Node: name, Property: p.Name(), OK: !loopByNode[name]}
+	for i, name := range nodes {
+		v := Verdict{Node: name, Property: p.Name(), OK: reported[starts[i]] == 0}
 		res.Verdicts = append(res.Verdicts, v)
 		res.DisclosedBytes += v.size()
 	}
@@ -468,32 +548,33 @@ func (p Convergence) Check(c *cluster.Cluster) Result {
 		limit = 8
 	}
 	res := Result{Property: p.Name()}
+	// One count map serves every router; only the prefixes over the limit
+	// are sorted, and almost none are.
+	counts := make(map[bgp.Prefix]int)
+	var over []bgp.Prefix
 	for _, name := range c.RouterNames() {
-		r := c.Router(name)
-		counts := make(map[bgp.Prefix]int)
-		for _, ev := range r.Events() {
+		clear(counts)
+		for _, ev := range c.Router(name).Events() {
 			counts[ev.Prefix]++
 		}
-		ok := true
-		prefixes := make([]bgp.Prefix, 0, len(counts))
-		for pfx := range counts {
-			prefixes = append(prefixes, pfx)
-		}
-		bgp.SortPrefixes(prefixes)
-		for _, pfx := range prefixes {
-			if counts[pfx] > limit {
-				ok = false
-				res.Violations = append(res.Violations, Violation{
-					Property: p.Name(),
-					Class:    ClassPolicyConflict,
-					Node:     name,
-					Prefix:   pfx,
-					HasPfx:   true,
-					Detail:   fmt.Sprintf("best route changed %d times (limit %d): oscillation", counts[pfx], limit),
-				})
+		over = over[:0]
+		for pfx, n := range counts {
+			if n > limit {
+				over = append(over, pfx)
 			}
 		}
-		v := Verdict{Node: name, Property: p.Name(), OK: ok}
+		bgp.SortPrefixes(over)
+		for _, pfx := range over {
+			res.Violations = append(res.Violations, Violation{
+				Property: p.Name(),
+				Class:    ClassPolicyConflict,
+				Node:     name,
+				Prefix:   pfx,
+				HasPfx:   true,
+				Detail:   fmt.Sprintf("best route changed %d times (limit %d): oscillation", counts[pfx], limit),
+			})
+		}
+		v := Verdict{Node: name, Property: p.Name(), OK: len(over) == 0}
 		res.Verdicts = append(res.Verdicts, v)
 		res.DisclosedBytes += v.size()
 	}

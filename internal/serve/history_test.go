@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -142,5 +144,47 @@ func TestTrendAggregatesPerSoak(t *testing.T) {
 	}
 	if trend[1].Epochs != 1 || trend[1].Findings != 2 {
 		t.Fatalf("soak 2 aggregate = %+v", trend[1])
+	}
+}
+
+// TestHistoryTruncatedAtEveryOffset is the crash-point test for the history
+// file: every strict prefix of an encoded history, decoded directly or
+// loaded by a starting daemon, is an error — never a panic, never a partial
+// history.
+func TestHistoryTruncatedAtEveryOffset(t *testing.T) {
+	good := sampleHistory().Encode()
+	path := filepath.Join(t.TempDir(), "history.dice")
+	for n := 0; n < len(good); n++ {
+		if h, err := DecodeHistory(good[:n]); err == nil || h != nil {
+			t.Fatalf("truncation at %d/%d: DecodeHistory = %v, %v; want nil and an error", n, len(good), h, err)
+		}
+		if err := os.WriteFile(path, good[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := New(Config{HistoryPath: path}); err == nil || s != nil {
+			t.Fatalf("truncation at %d/%d: New loaded a partial history", n, len(good))
+		}
+	}
+}
+
+// TestWriteFileAtomicReplaces checks the durable save path: it replaces an
+// existing file, leaves no temporary file behind, and reports a failed write.
+func TestWriteFileAtomicReplaces(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "history.dice")
+	for _, data := range [][]byte{sampleHistory().Encode(), []byte("second generation")} {
+		if err := writeFileAtomic(path, data); err != nil {
+			t.Fatalf("writeFileAtomic: %v", err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("read back %q, %v; want %q", got, err, data)
+		}
+		if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("temporary file left behind: %v", err)
+		}
+	}
+	if err := writeFileAtomic(filepath.Join(dir, "missing", "history.dice"), nil); err == nil {
+		t.Fatal("write into a missing directory reported no error")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -439,8 +440,8 @@ func (s *Server) StopSoak() error {
 	return nil
 }
 
-// saveHistory atomically persists the history file (write temp + rename),
-// so a kill mid-save never corrupts the trendline.
+// saveHistory atomically persists the history file, so a kill or a crash
+// mid-save never corrupts the trendline.
 func (s *Server) saveHistory() {
 	if s.cfg.HistoryPath == "" {
 		return
@@ -448,14 +449,44 @@ func (s *Server) saveHistory() {
 	s.mu.Lock()
 	data := s.hist.Encode()
 	s.mu.Unlock()
-	tmp := s.cfg.HistoryPath + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		s.logf("serve: save history: %v", err)
-		return
-	}
-	if err := os.Rename(tmp, s.cfg.HistoryPath); err != nil {
+	if err := writeFileAtomic(s.cfg.HistoryPath, data); err != nil {
 		s.logf("serve: save history: %v", err)
 	}
+}
+
+// writeFileAtomic replaces path with data so that a crash at any point
+// leaves either the old or the new contents in place: the data goes to a
+// temporary file that is synced and closed, the file is renamed over path,
+// and the directory is synced so the rename itself is durable.
+func writeFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // FindingSummary is a finding projected to summary grade for the JSON API:
